@@ -248,3 +248,37 @@ def test_csv_roundtrip_and_summary(tmp_path):
     summary = ensemble_summary(ens, SqrtParams(), 14)
     assert summary["increment_digest"] == ensemble_digest(ens)
     assert summary["n_paths"] == 3 and summary["n_steps"] == 8
+
+
+# Digests of the square-root ensembles, computed before the per-path loops
+# were merged; every bracket, scale and worker count must keep them.  300
+# rows of 64 steps span more than one step block.
+GOLDEN_GRID = TimeGrid(DT, 64)
+GOLDEN_COEFFS = [
+    DirectionCoeffs(0.5, 1.0, -1.0, 0.0),
+    DirectionCoeffs(0.3, -0.7, 0.2, 0.4),
+    DirectionCoeffs(0.0, 1.5, 0.0, -1.1),
+]
+GOLDEN_DIGESTS = {
+    (0.5, 0.0): ["1e437ec3e8cbe21b4dba3032a6bfeef6b6d0aea11aecce1cd8cd02288c8ff2ca"],
+    (0.5, 0.7): ["b19563fb069b91599ce967365f8750f7efed08684b747b56003f4ca143098e37"],
+    (0.7, 0.0): ["c1767f1ffb78ddb49202fa107c1a3d5ac7db85cde541bddcf6c89cdadceb9121"],
+    (-1.3, 0.0): ["3223071f6ba59b8f254bcdadc4155e7a48e016eb64320647f799038ca606097b"],
+    "general": [
+        "88b6ea157a1fec5034fc1ad673bd8d28515a4e93166a8cd7cdfe97153f285c01",
+        "8441c3f9b92a3ed71fa9a69c00c4d44558ee59b4b6e4f3a9d4f774572f3c92a4",
+        "bb2e0e14eca50af9c650d5e45ecef0aa1ba04cbaef33586e467a055e123f9ed2",
+    ],
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("case", list(GOLDEN_DIGESTS), ids=str)
+def test_golden_sqrt_digests(case, workers):
+    if case == "general":
+        ensembles = integrate_general(GOLDEN_GRID, 100, GOLDEN_COEFFS, 7, workers=workers)
+    else:
+        ensembles = [integrate_sqrt(GOLDEN_GRID, 300, SqrtParams(*case), 7, workers=workers)]
+    assert [ensemble_digest(e) for e in ensembles] == [
+        "sha256:" + d for d in GOLDEN_DIGESTS[case]
+    ]
