@@ -27,6 +27,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -40,9 +41,12 @@ from . import stats as st
 from .paths import RNG_NAME, TimeGrid, wiener_ensemble
 from .process import (
     SqrtParams,
+    array_digest,
+    column_blocks,
     ensemble_digest,
     ensemble_to_csv,
     integrate_sqrt,
+    write_csv,
 )
 
 __all__ = ["ConfigError", "RunConfig", "main", "PUBLISHED_REFERENCE"]
@@ -82,6 +86,23 @@ class ConfigError(Exception):
     """Invalid configuration (maps to exit code 1)."""
 
 
+def _finite_real(v) -> bool:
+    try:
+        return not isinstance(v, bool) and math.isfinite(v)
+    except (TypeError, OverflowError):  # not a number, or an int beyond float range
+        return False
+
+
+# Values each RunConfig annotation accepts (None too, where the annotation is
+# optional): bool is not an integer, and reals must be finite.
+_ACCEPTS = {
+    "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "float": ("a finite real number", _finite_real),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+}
+
+
 @dataclass
 class RunConfig:
     """Effective run configuration; defaults are the reference protocol."""
@@ -96,9 +117,14 @@ class RunConfig:
     output_dir: str | None = None
     compress: bool = True
     csv_max_paths: int | None = None
-    rng_name: str = RNG_NAME
 
     def validate(self) -> None:
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            kind, _, optional = f.type.partition(" | ")
+            what, accepts = _ACCEPTS[kind]
+            if not (value is None and optional or accepts(value)):
+                raise ConfigError(f"{f.name} must be {what}, got {value!r}")
         if self.n_paths < 1:
             raise ConfigError(f"n_paths must be >= 1, got {self.n_paths}")
         if self.n_steps < 1:
@@ -107,8 +133,6 @@ class RunConfig:
             raise ConfigError(f"dt must be positive, got {self.dt}")
         if self.mu0 == 0:
             raise ConfigError("mu0 must be nonzero")
-        if not np.isfinite(self.beta):
-            raise ConfigError(f"beta must be finite, got {self.beta}")
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must fit in 64 unsigned bits, got {self.seed}")
         if self.threads is not None and self.threads < 1:
@@ -150,24 +174,15 @@ def build_config(args: argparse.Namespace) -> RunConfig:
                 file_cfg = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+        if not isinstance(file_cfg, dict):
+            raise ConfigError("config file must hold a JSON object")
         unknown = set(file_cfg) - _CONFIG_KEYS
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         merged.update(file_cfg)
-    flag_map = {
-        "paths": "n_paths",
-        "steps": "n_steps",
-        "dt": "dt",
-        "mu0": "mu0",
-        "beta": "beta",
-        "seed": "seed",
-        "threads": "threads",
-        "output": "output_dir",
-        "compress": "compress",
-        "csv_paths": "csv_max_paths",
-    }
-    for flag, key in flag_map.items():
-        val = getattr(args, flag, None)
+    # each flag's argparse dest is the RunConfig field it sets
+    for key in _CONFIG_KEYS:
+        val = getattr(args, key, None)
         if val is not None:
             merged[key] = val
     if merged["output_dir"] is None:
@@ -189,7 +204,7 @@ def make_manifest(command: str, config: RunConfig, increment_digest: str, **extr
         "config": dataclasses.asdict(config),
         "config_digest": config.digest(),
         "increment_digest": increment_digest,
-        "rng": config.rng_name,
+        "rng": RNG_NAME,
         "pauli_pair": list(PAULI_PAIR),
     }
     manifest.update(extra)
@@ -218,32 +233,9 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_curve_csv(path: Path, header: list[str], columns: list[np.ndarray], comments: list[str]) -> None:
-    with open(path, "w") as fh:
-        for line in comments:
-            fh.write(f"# {line}\n")
-        fh.write(",".join(header) + "\n")
-        for row in zip(*columns):
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
-
-def _digest_array(arr: np.ndarray) -> str:
-    return "sha256:" + hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
-
-
-def _stat_row(row: str, s: st.SummaryStats) -> list[str]:
-    return [
-        row,
-        s.estimator_tag,
-        f"{s.mean.value.real:.17g}",
-        f"{s.mean.value.imag:.17g}",
-        f"{s.mean.stderr.real:.17g}",
-        f"{s.mean.stderr.imag:.17g}",
-        f"{s.pseudo_variance.value.real:.17g}",
-        f"{s.pseudo_variance.value.imag:.17g}",
-        f"{s.diffusion.value.real:.17g}",
-        f"{s.diffusion.value.imag:.17g}",
-    ]
+def _stat_row(row: str, s: st.SummaryStats) -> list:
+    parts = (s.mean.value, s.mean.stderr, s.pseudo_variance.value, s.diffusion.value)
+    return [row, s.estimator_tag] + [x for z in parts for x in (z.real, z.imag)]
 
 
 def _summary_json(s: st.SummaryStats) -> dict:
@@ -260,16 +252,6 @@ def _summary_json(s: st.SummaryStats) -> dict:
         "diffusion_stderr": [s.diffusion.stderr.real, s.diffusion.stderr.imag],
         "n": s.mean.n,
     }
-
-
-def _write_histogram_csv(path: Path, h: st.Histogram, comments: list[str]) -> None:
-    dens = h.density()
-    with open(path, "w") as fh:
-        for line in comments:
-            fh.write(f"# {line}\n")
-        fh.write("bin_lo,bin_hi,count,density\n")
-        for lo, hi, c, d in zip(h.bin_edges[:-1], h.bin_edges[1:], h.counts, dens):
-            fh.write(f"{lo:.17g},{hi:.17g},{int(c)},{d:.17g}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -318,14 +300,13 @@ def cmd_table1(config: RunConfig) -> int:
     comments = manifest_header_lines(manifest)
 
     csv_path = out / "table1.csv"
-    with open(csv_path, "w") as fh:
-        for line in comments:
-            fh.write(f"# {line}\n")
-        fh.write("row,estimator_tag,mean_re,mean_im,stderr_re,stderr_im,var_re,var_im,D_re,D_im\n")
-        for s in table.brownian:
-            fh.write(",".join(_stat_row("brownian", s)) + "\n")
-        for s in table.square_root:
-            fh.write(",".join(_stat_row("square_root", s)) + "\n")
+    rows = [_stat_row("brownian", s) for s in table.brownian]
+    rows += [_stat_row("square_root", s) for s in table.square_root]
+    write_csv(
+        csv_path, comments,
+        "row,estimator_tag,mean_re,mean_im,stderr_re,stderr_im,var_re,var_im,D_re,D_im",
+        "%s,%s" + ",%.17g" * 8 + "\n", rows,
+    )
 
     bro = table.by_tag("brownian", st.TAG_PAPER_REPORTED)
     sq = table.by_tag("square_root", st.TAG_PAPER_REPORTED)
@@ -426,14 +407,16 @@ def cmd_kernels(
     )
     comments = manifest_header_lines(manifest)
 
-    _write_curve_csv(
-        out / "kernel_curves.csv",
-        ["x", "re", "im", "modulus", "heat", "wick"],
-        [x, osc.real, osc.imag, np.abs(osc), heat, wick],
-        comments,
+    write_csv(
+        out / "kernel_curves.csv", comments, "x,re,im,modulus,heat,wick", "%.17g," * 5 + "%.17g\n",
+        column_blocks([x, osc.real, osc.imag, np.abs(osc), heat, wick]),
     )
-    _write_histogram_csv(out / "hist_wiener_terminal.csv", hist_w, comments)
-    _write_histogram_csv(out / "hist_sqrt_wick.csv", hist_s, comments)
+    for name, h in (("hist_wiener_terminal.csv", hist_w), ("hist_sqrt_wick.csv", hist_s)):
+        columns = [h.bin_edges[:-1], h.bin_edges[1:], h.counts, h.density()]
+        write_csv(
+            out / name, comments, "bin_lo,bin_hi,count,density", "%.17g,%.17g,%d,%.17g\n",
+            column_blocks(columns),
+        )
 
     center_shift = fits.get("sqrt_wick_rotated", {}).get("center")
     report = {
@@ -541,7 +524,7 @@ def cmd_fpsolve(
     mass_arr = np.array(masses)
     per_step_drift = float(np.abs(np.diff(mass_arr)).max())
 
-    digest = _digest_array(current.values)
+    digest = array_digest(current.values)
     manifest = make_manifest("fpsolve", config, digest, fp_time=fp_time, fp_dt=dt_eff,
                              grid_points=grid_points, sigma0=sigma0,
                              drift=[p.drift.real, p.drift.imag],
@@ -550,11 +533,10 @@ def cmd_fpsolve(
     names = []
     for t_prof, g in sorted(profiles.items()):
         name = f"fp_profile_t{t_prof:.4f}.csv"
-        _write_curve_csv(
-            out / name,
-            ["x", "re", "im", "modulus"],
-            [g.xs(), g.values.real, g.values.imag, np.abs(g.values)],
-            comments,
+        columns = [g.xs(), g.values.real, g.values.imag, np.abs(g.values)]
+        write_csv(
+            out / name, comments, "x,re,im,modulus", "%.17g,%.17g,%.17g,%.17g\n",
+            column_blocks(columns),
         )
         names.append(name)
 
@@ -592,15 +574,18 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
-    common.add_argument("--paths", type=int, default=None, help="number of paths")
-    common.add_argument("--steps", type=int, default=None, help="steps per path")
+    common.add_argument("--paths", dest="n_paths", metavar="PATHS", type=int, default=None,
+                        help="number of paths")
+    common.add_argument("--steps", dest="n_steps", metavar="STEPS", type=int, default=None,
+                        help="steps per path")
     common.add_argument("--dt", type=float, default=None, help="time step")
     common.add_argument("--mu0", type=float, default=None, help="scale factor")
     common.add_argument("--beta", type=float, default=None, help="drift constant")
     common.add_argument("--seed", type=int, default=None, help="master seed (uint64)")
     common.add_argument("--threads", type=int, default=None,
                         help="worker count (never changes emitted numbers)")
-    common.add_argument("--output", type=str, default=None, help="output directory")
+    common.add_argument("--output", dest="output_dir", metavar="OUTPUT", type=str, default=None,
+                        help="output directory")
     common.add_argument("--config", type=str, default=None, help="JSON config file")
     common.add_argument("--no-compress", dest="compress", action="store_const",
                         const=False, default=None, help="disable gzip of large CSVs")
@@ -610,8 +595,8 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p_sim = sub.add_parser("simulate", parents=[common], help="integrate the ensemble")
-    p_sim.add_argument("--csv-paths", type=int, default=None,
-                       help="down-sample the CSV to this many paths")
+    p_sim.add_argument("--csv-paths", dest="csv_max_paths", metavar="CSV_PATHS", type=int,
+                       default=None, help="down-sample the CSV to this many paths")
 
     sub.add_parser("table1", parents=[common], help="summary statistics reproduction")
 

@@ -14,7 +14,8 @@ Reproducibility contract: every path owns a counter-based Philox generator
 keyed directly by (master_seed, path_index), and every increment consumes
 exactly one uniform draw mapped through the inverse normal CDF.  Streams are
 therefore independent across paths and bit-stable across platforms, path
-order, and worker counts.
+order, and worker counts.  draw_increments is the one loop that keys and
+draws these streams; every ensemble is built from its output.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ __all__ = [
     "abs_of",
     "phi_from_bernoulli",
     "phi_half",
+    "draw_increments",
     "wiener_ensemble",
 ]
 
@@ -138,7 +140,7 @@ def sample_wiener(grid: TimeGrid, rng: Generator) -> WienerIncrements:
     return WienerIncrements(grid, _normal_increments(rng, grid.n_steps, grid.dt))
 
 
-def sign_of(w: WienerIncrements) -> np.ndarray:
+def sign_of(w: WienerIncrements | WienerEnsemble) -> np.ndarray:
     """Element-wise sign sequence, +1.0 where dw >= 0 and -1.0 otherwise."""
     return np.where(w.dw >= 0, 1.0, -1.0)
 
@@ -162,9 +164,10 @@ def phi_from_bernoulli(b: np.ndarray) -> np.ndarray:
     return (1 + b) / 2 + 1j * (1 - b) / 2
 
 
-def phi_half(w: WienerIncrements) -> np.ndarray:
+def phi_half(w: WienerIncrements | WienerEnsemble) -> np.ndarray:
     """Coin-toss phase sequence of the increments: 1 where dw >= 0, i where
-    dw < 0.  Satisfies phi**2 == sign_of(w) exactly."""
+    dw < 0, element-wise over a path or an ensemble.  Satisfies
+    phi**2 == sign_of(w) exactly."""
     return np.where(w.dw >= 0, 1.0 + 0.0j, 1.0j)
 
 
@@ -202,34 +205,35 @@ def _wiener_chunk(dt: float, n_steps: int, master_seed: int, start: int, stop: i
     return out
 
 
-def run_path_chunks(chunk_fn, n_paths: int, workers: int) -> list[np.ndarray]:
-    """Evaluate chunk_fn(start, stop) over a contiguous partition of the path
-    range and return the pieces in path order.
+def draw_increments(
+    grid: TimeGrid, n_rows: int, master_seed: int, workers: int = 1
+) -> np.ndarray:
+    """Increments dw of the streams SeedSpec(master_seed, p), p < n_rows, as
+    an (n_rows, n_steps) array; row p is stream p.
 
-    Because each path owns its own keyed generator, the result is bit-identical
-    for any worker count; workers only affect wall time.
+    This is the one loop that keys a stream per row.  Workers split the row
+    range into contiguous pieces; because each row owns its own keyed
+    generator, the result is bit-identical for any worker count.
     """
-    if workers is None or workers <= 1 or n_paths == 1:
-        return [chunk_fn(0, n_paths)]
-    workers = min(workers, n_paths)
-    bounds = np.linspace(0, n_paths, workers + 1).astype(int)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(chunk_fn, bounds[:-1], bounds[1:]))
+    if n_rows < 1:
+        raise ValueError(f"n_paths must be >= 1, got {n_rows}")
+    SeedSpec(master_seed)  # range check
+    try:
+        if workers is None or workers <= 1 or n_rows == 1:
+            return _wiener_chunk(grid.dt, grid.n_steps, master_seed, 0, n_rows)
+        workers = min(workers, n_rows)
+        bounds = np.linspace(0, n_rows, workers + 1).astype(int)
+        fn = partial(_wiener_chunk, grid.dt, grid.n_steps, master_seed)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return np.concatenate(list(pool.map(fn, bounds[:-1], bounds[1:])), axis=0)
+    except MemoryError as exc:
+        raise MemoryError(
+            f"cannot allocate {n_rows} x {grid.n_steps} Wiener increments"
+        ) from exc
 
 
 def wiener_ensemble(
     grid: TimeGrid, n_paths: int, master_seed: int, workers: int = 1
 ) -> WienerEnsemble:
     """Generate n_paths independent Wiener paths deterministically."""
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    SeedSpec(master_seed)  # range check
-    fn = partial(_wiener_chunk, grid.dt, grid.n_steps, master_seed)
-    try:
-        chunks = run_path_chunks(fn, n_paths, workers)
-        dw = np.concatenate(chunks, axis=0) if len(chunks) > 1 else chunks[0]
-    except MemoryError as exc:
-        raise MemoryError(
-            f"cannot allocate Wiener ensemble of {n_paths} x {grid.n_steps} increments"
-        ) from exc
-    return WienerEnsemble(grid, dw)
+    return WienerEnsemble(grid, draw_increments(grid, n_paths, master_seed, workers))

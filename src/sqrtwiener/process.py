@@ -24,27 +24,23 @@ independent) and g5 is fixed to the unit scalar: at this level the chirality
 factor only contributes a phase weight.  The matrix direction factor is
 tracked as the position of each ensemble in the returned list, never
 multiplied in.
+
+Both integrators draw their increments through paths.draw_increments, the
+one loop that keys a Philox stream per row, and map their bracket over the
+drawn array; the bracket is a pure function of dw.  Every CSV the package
+writes goes through write_csv, and every digest through array_digest.
 """
 
 from __future__ import annotations
 
+import gzip
 import hashlib
 from dataclasses import dataclass
-from functools import partial
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .paths import (
-    SeedSpec,
-    TimeGrid,
-    WienerIncrements,
-    make_rng,
-    phi_half,
-    run_path_chunks,
-    sample_wiener,
-    sign_of,
-)
+from .paths import TimeGrid, WienerEnsemble, draw_increments, phi_half, sign_of
 
 __all__ = [
     "SqrtParams",
@@ -54,7 +50,10 @@ __all__ = [
     "sqrt_step_drifted",
     "integrate_sqrt",
     "integrate_general",
+    "array_digest",
     "ensemble_digest",
+    "write_csv",
+    "column_blocks",
     "ensemble_to_csv",
     "ensemble_summary",
 ]
@@ -150,17 +149,8 @@ class ComplexPathEnsemble:
         return self.values[:, -1]
 
 
-def _sqrt_chunk(
-    dt: float, n_steps: int, mu0: float, beta: float, master_seed: int, start: int, stop: int
-) -> np.ndarray:
-    grid = TimeGrid(dt, n_steps)
-    params = SqrtParams(mu0, beta)
-    step = sqrt_step_drifted if mu0 == 0.5 else sqrt_step_scalar
-    out = np.empty((stop - start, n_steps), dtype=np.complex128)
-    for p in range(start, stop):
-        w = sample_wiener(grid, make_rng(SeedSpec(master_seed, p)))
-        out[p - start] = step(w.dw, dt, params, phi_half(w))
-    return out
+# Increments per step block: keeps the bracket's temporaries in cache.
+_STEP_BLOCK = 16384
 
 
 def integrate_sqrt(
@@ -178,17 +168,19 @@ def integrate_sqrt(
     is a pure function of (grid, n_paths, params, master_seed); workers only
     split the path range.
     """
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     if params.beta != 0.0 and params.mu0 != 0.5:
         raise ValueError(
             "beta != 0 requires mu0 = 1/2 (the drifted step is only derived there)"
         )
-    SeedSpec(master_seed)
-    fn = partial(_sqrt_chunk, grid.dt, grid.n_steps, params.mu0, params.beta, master_seed)
+    step = sqrt_step_drifted if params.mu0 == 0.5 else sqrt_step_scalar
+    rows = max(1, _STEP_BLOCK // grid.n_steps)
     try:
-        chunks = run_path_chunks(fn, n_paths, workers)
-        inc = np.concatenate(chunks, axis=0) if len(chunks) > 1 else chunks[0]
+        dw = draw_increments(grid, n_paths, master_seed, workers)
+        inc = np.empty(dw.shape, dtype=np.complex128)
+        for lo in range(0, n_paths, rows):
+            w = WienerEnsemble(grid, dw[lo:lo + rows])
+            inc[lo:lo + rows] = step(w.dw, grid.dt, params, phi_half(w))
+        del dw, w
         return ComplexPathEnsemble.from_increments(grid, inc)
     except MemoryError as exc:
         raise MemoryError(
@@ -217,27 +209,6 @@ class DirectionCoeffs:
 _G5 = 1.0
 
 
-def _general_chunk(
-    dt: float,
-    n_steps: int,
-    coeff_tuples: tuple,
-    master_seed: int,
-    start: int,
-    stop: int,
-) -> np.ndarray:
-    grid = TimeGrid(dt, n_steps)
-    n_dir = len(coeff_tuples)
-    out = np.empty((n_dir, stop - start, n_steps), dtype=np.complex128)
-    for p in range(start, stop):
-        for a, (kappa, xi, zeta, eta) in enumerate(coeff_tuples):
-            # independent stream per (path, direction)
-            w = sample_wiener(grid, make_rng(SeedSpec(master_seed, p * n_dir + a)))
-            b = sign_of(w)
-            bracket = kappa + xi * w.dw * b + zeta * dt + 1j * eta * _G5
-            out[a, p - start] = bracket * phi_half(w)
-    return out
-
-
 def integrate_general(
     grid: TimeGrid,
     n_paths: int,
@@ -258,14 +229,20 @@ def integrate_general(
         raise ValueError("at least one direction of coefficients is required")
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    SeedSpec(master_seed)
-    tuples = tuple((c.kappa, c.xi, c.zeta, c.eta) for c in coeffs)
-    fn = partial(_general_chunk, grid.dt, grid.n_steps, tuples, master_seed)
-    chunks = run_path_chunks(fn, n_paths, workers)
-    stacked = np.concatenate(chunks, axis=1) if len(chunks) > 1 else chunks[0]
-    return [
-        ComplexPathEnsemble.from_increments(grid, stacked[a]) for a in range(len(coeffs))
-    ]
+    n_dir = len(coeffs)
+    dw = draw_increments(grid, n_paths * n_dir, master_seed, workers)
+    dw = dw.reshape(n_paths, n_dir, grid.n_steps)
+    out = []
+    for a, c in enumerate(coeffs):
+        w = WienerEnsemble(grid, dw[:, a])
+        bracket = c.kappa + c.xi * w.dw * sign_of(w) + c.zeta * grid.dt + 1j * c.eta * _G5
+        out.append(ComplexPathEnsemble.from_increments(grid, bracket * phi_half(w)))
+    return out
+
+
+def array_digest(arr: np.ndarray) -> str:
+    """SHA-256 digest of an array's C-order bytes, as 'sha256:<hex>'."""
+    return "sha256:" + hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
 
 
 def ensemble_digest(ensemble) -> str:
@@ -275,9 +252,47 @@ def ensemble_digest(ensemble) -> str:
     give equal digests, which is the regression-pinning contract.
     """
     arr = getattr(ensemble, "increments", None)
-    if arr is None:
-        arr = ensemble.dw
-    return "sha256:" + hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
+    return array_digest(ensemble.dw if arr is None else arr)
+
+
+def write_csv(
+    path,
+    comments: Sequence[str],
+    header: str,
+    row_template: str,
+    blocks: Iterable[Sequence],
+) -> int:
+    """Write '# ' comment lines, a header line, then rows.
+
+    Each block is a flat sequence of values, row after row, formatted with
+    one %-operation of row_template repeated once per row.  The file is
+    gzipped when path ends with '.gz'.  Returns the number of rows written.
+    """
+    width = row_template.count("%")
+    opener = gzip.open if str(path).endswith(".gz") else open
+    rows = 0
+    with opener(path, "wt", newline="") as fh:
+        fh.writelines(f"# {line}\n" for line in comments)
+        fh.write(header + "\n")
+        for block in blocks:
+            n = len(block) // width
+            fh.write(row_template * n % tuple(block))
+            rows += n
+    return rows
+
+
+# Most rows a column_blocks block holds: bounds the values and formatted text
+# held at once, whatever the length of the columns.
+_CSV_BLOCK_ROWS = 1024
+
+
+def column_blocks(columns: Sequence[np.ndarray]) -> Iterable[list]:
+    """write_csv blocks of equal-length numeric columns, read row by row."""
+    table = np.column_stack(columns)
+    return (
+        table[lo:lo + _CSV_BLOCK_ROWS].ravel().tolist()
+        for lo in range(0, len(table), _CSV_BLOCK_ROWS)
+    )
 
 
 def ensemble_to_csv(
@@ -292,23 +307,17 @@ def ensemble_to_csv(
     as leading '#' comments (used to reference the run manifest).  The writer
     transparently gzips when path ends with '.gz'.  Returns rows written.
     """
-    import gzip
-
     m = ensemble.n_paths if max_paths is None else min(max_paths, ensemble.n_paths)
     n = ensemble.grid.n_steps
-    opener = gzip.open if str(path).endswith(".gz") else open
-    rows = 0
-    with opener(path, "wt", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write("path_index,step_index,re,im\n")
-        for p in range(m):
-            row = ensemble.increments[p]
-            fh.writelines(
-                f"{p},{k},{row[k].real:.17g},{row[k].imag:.17g}\n" for k in range(n)
-            )
-            rows += n
-    return rows
+    steps, inc = np.arange(n), ensemble.increments
+    blocks = (
+        block
+        for p in range(m)
+        for block in column_blocks([np.full(n, p), steps, inc[p].real, inc[p].imag])
+    )
+    return write_csv(
+        path, header_lines, "path_index,step_index,re,im", "%d,%d,%.17g,%.17g\n", blocks
+    )
 
 
 def ensemble_summary(

@@ -16,6 +16,7 @@ from sqrtwiener.cli import (
     ensemble_csv_name,
     main,
 )
+from sqrtwiener.paths import RNG_NAME
 
 
 def run(*argv):
@@ -120,6 +121,49 @@ def test_config_file_unknown_key_rejected(tmp_path, capsys):
     cfg.write_text(json.dumps({"paths": 30}))
     assert run("simulate", "--config", str(cfg), "--output", str(tmp_path / "o")) == 1
     assert "unknown config key" in capsys.readouterr().err
+
+
+def test_config_file_must_be_an_object(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("5")
+    assert run("simulate", "--config", str(cfg), "--output", str(tmp_path / "o")) == 1
+    assert "JSON object" in capsys.readouterr().err
+
+
+def test_rng_label_is_not_configurable(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"rng_name": "pcg32"}))
+    assert run("simulate", "--config", str(cfg), "--output", str(tmp_path / "o")) == 1
+    err = capsys.readouterr().err
+    assert "unknown config key" in err and "rng_name" in err
+
+    out = tmp_path / "ok"
+    assert run("simulate", "--paths", "2", "--steps", "4", "--output", str(out)) == 0
+    assert json.loads((out / "manifest.json").read_text())["rng"] == RNG_NAME
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_paths", 2.5),
+    ("n_paths", True),
+    ("n_paths", "20"),
+    ("seed", 1.0),
+    ("threads", 1.5),
+    ("csv_max_paths", False),
+    ("compress", 1),
+    ("dt", "0.001"),
+    ("beta", float("nan")),
+    ("dt", 10**400),
+    ("mu0", None),
+    ("output_dir", 5),
+])
+def test_config_value_types_checked(tmp_path, capsys, monkeypatch, field, value):
+    monkeypatch.chdir(tmp_path)
+    cfg = {"n_paths": 3, "n_steps": 4, "output_dir": "o", field: value}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    threads = [] if field == "threads" else ["--threads", "2"]
+    assert run("simulate", "--config", "cfg.json", *threads) == 1
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_env_var_default_output(tmp_path, monkeypatch):
