@@ -14,7 +14,9 @@ Configuration precedence is flags > JSON config file > defaults; the
 effective configuration is echoed into every manifest.  The defaults
 reproduce the reference Monte Carlo protocol (20000 paths of 1000 steps at
 dt = 0.001, mu0 = 1/2, beta = 0).  Exit codes: 0 success, 1 configuration
-error, 2 I/O error.
+error or not enough memory for n_paths x n_steps, 2 I/O error.  A run
+writes its manifest last, after deleting the files that the directory's
+previous manifest listed and the new one does not.
 
 The only environment variable honored is SQRTWIENER_OUTPUT, an optional
 default output directory used when neither --output nor the config file set
@@ -233,6 +235,21 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
+def _write_manifest(out: Path, manifest: dict) -> None:
+    """Write manifest.json, first deleting the files the old manifest in out
+    listed that this one does not.  Only bare file names inside out are
+    deleted, and an unreadable old manifest deletes nothing."""
+    try:
+        old = json.loads((out / "manifest.json").read_text())["outputs"]
+    except (OSError, ValueError, LookupError, TypeError):
+        old = []
+    for name in old if isinstance(old, list) else []:
+        if (isinstance(name, str) and name == os.path.basename(name)
+                and name not in manifest["outputs"] and (out / name).is_file()):
+            (out / name).unlink()
+    _write_json(out / "manifest.json", manifest)
+
+
 def _stat_row(row: str, s: st.SummaryStats) -> list:
     parts = (s.mean.value, s.mean.stderr, s.pseudo_variance.value, s.diffusion.value)
     return [row, s.estimator_tag] + [x for z in parts for x in (z.real, z.imag)]
@@ -281,7 +298,7 @@ def cmd_simulate(config: RunConfig) -> int:
         header_lines=manifest_header_lines(manifest),
     )
     manifest["outputs"] = [name, "manifest.json"]
-    _write_json(out / "manifest.json", manifest)
+    _write_manifest(out, manifest)
     print(f"simulate: {config.n_paths} paths x {config.n_steps} steps -> {csv_path}")
     print(f"increment_digest {digest}")
     return 0
@@ -342,7 +359,7 @@ def cmd_table1(config: RunConfig) -> int:
     }
     manifest["outputs"] = ["table1.csv", "table1_report.json", "manifest.json"]
     _write_json(out / "table1_report.json", report)
-    _write_json(out / "manifest.json", manifest)
+    _write_manifest(out, manifest)
     print(f"table1: wrote {csv_path}")
     print(
         "brownian temporal variance "
@@ -381,7 +398,7 @@ def cmd_kernels(
     # square-root terminal values (interpretation recorded in the manifest)
     wiener = wiener_ensemble(config.grid, config.n_paths, config.seed, config.workers)
     sqrt_ens = integrate_sqrt(config.grid, config.n_paths, config.params, config.seed, config.workers)
-    w_term = wiener.values()[:, -1]
+    w_term = wiener.values()[:, -1].copy()
     wick_emp = kn.wick_rotate_samples(kn.square_samples(sqrt_ens.terminal_values))
 
     hist_w = st.build_histogram(w_term, bins, normalization="density")
@@ -443,7 +460,7 @@ def cmd_kernels(
         "manifest.json",
     ]
     _write_json(out / "kernels_report.json", report)
-    _write_json(out / "manifest.json", manifest)
+    _write_manifest(out, manifest)
     print(
         f"kernels: max|wick-heat| = {max_wick_err:.3e}, "
         f"fits R^2 = {[f.get('r_squared') for f in fits.values()]}"
@@ -554,7 +571,7 @@ def cmd_fpsolve(
     }
     manifest["outputs"] = names + ["fp_report.json", "manifest.json"]
     _write_json(out / "fp_report.json", report)
-    _write_json(out / "manifest.json", manifest)
+    _write_manifest(out, manifest)
     print(
         f"fpsolve: mass drift {per_step_drift:.3e}/step, "
         f"heat-mode Linf {report['heat_mode_validation']['l_inf_error']:.3e}, "
@@ -615,22 +632,32 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _run(args: argparse.Namespace, config: RunConfig) -> int:
+    if args.command == "simulate":
+        return cmd_simulate(config)
+    if args.command == "table1":
+        return cmd_table1(config)
+    if args.command == "kernels":
+        return cmd_kernels(config, t=args.t, x_min=args.x_min, x_max=args.x_max,
+                           x_points=args.x_points, bins=args.bins)
+    if args.command == "fpsolve":
+        return cmd_fpsolve(config, grid_points=args.grid_points, fp_dt=args.fp_dt,
+                           fp_time=args.fp_time, sigma0=args.sigma0)
+    raise ConfigError(f"unknown command {args.command!r}")
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         config = build_config(args)
-        if args.command == "simulate":
-            return cmd_simulate(config)
-        if args.command == "table1":
-            return cmd_table1(config)
-        if args.command == "kernels":
-            return cmd_kernels(config, t=args.t, x_min=args.x_min, x_max=args.x_max,
-                               x_points=args.x_points, bins=args.bins)
-        if args.command == "fpsolve":
-            return cmd_fpsolve(config, grid_points=args.grid_points, fp_dt=args.fp_dt,
-                               fp_time=args.fp_time, sigma0=args.sigma0)
-        raise ConfigError(f"unknown command {args.command!r}")
+        try:
+            return _run(args, config)
+        except MemoryError as exc:
+            raise ConfigError(
+                f"not enough memory for n_paths = {config.n_paths} x "
+                f"n_steps = {config.n_steps}: {exc}"
+            ) from exc
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -20,6 +20,7 @@ draws these streams; every ensemble is built from its output.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -35,6 +36,7 @@ __all__ = [
     "WienerIncrements",
     "WienerEnsemble",
     "make_rng",
+    "cumulative_paths",
     "sample_wiener",
     "sign_of",
     "abs_of",
@@ -98,6 +100,13 @@ class SeedSpec:
             raise ValueError("path_index must fit in an unsigned 64-bit integer")
 
 
+def cumulative_paths(increments: np.ndarray) -> np.ndarray:
+    """Running sums along the last axis in step order, after a leading 0."""
+    out = np.zeros(increments.shape[:-1] + (increments.shape[-1] + 1,), increments.dtype)
+    np.cumsum(increments, axis=-1, out=out[..., 1:])
+    return out
+
+
 def make_rng(seed: SeedSpec) -> Generator:
     """Counter-based generator for one path; streams for distinct
     (master_seed, path_index) pairs are independent by construction."""
@@ -120,10 +129,7 @@ class WienerIncrements:
 
     def cumulative(self) -> np.ndarray:
         """Sampled path W with W(t0) = 0, length n_steps + 1."""
-        w = np.empty(self.grid.n_steps + 1)
-        w[0] = 0.0
-        np.cumsum(self.dw, out=w[1:])
-        return w
+        return cumulative_paths(self.dw)
 
 
 def _normal_increments(rng: Generator, n_steps: int, dt: float) -> np.ndarray:
@@ -191,10 +197,7 @@ class WienerEnsemble:
 
     def values(self) -> np.ndarray:
         """Cumulative paths, shape (n_paths, n_steps + 1), starting at 0."""
-        out = np.empty((self.n_paths, self.grid.n_steps + 1))
-        out[:, 0] = 0.0
-        np.cumsum(self.dw, axis=1, out=out[:, 1:])
-        return out
+        return cumulative_paths(self.dw)
 
 
 def _wiener_chunk(dt: float, n_steps: int, master_seed: int, start: int, stop: int) -> np.ndarray:
@@ -211,25 +214,21 @@ def draw_increments(
     """Increments dw of the streams SeedSpec(master_seed, p), p < n_rows, as
     an (n_rows, n_steps) array; row p is stream p.
 
-    This is the one loop that keys a stream per row.  Workers split the row
-    range into contiguous pieces; because each row owns its own keyed
-    generator, the result is bit-identical for any worker count.
+    This is the one loop that keys a stream per row.  Workers, at most one
+    per row and per CPU, split the row range into contiguous pieces; because
+    each row owns its own keyed generator, the result is bit-identical for
+    any worker count.
     """
     if n_rows < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_rows}")
     SeedSpec(master_seed)  # range check
-    try:
-        if workers is None or workers <= 1 or n_rows == 1:
-            return _wiener_chunk(grid.dt, grid.n_steps, master_seed, 0, n_rows)
-        workers = min(workers, n_rows)
-        bounds = np.linspace(0, n_rows, workers + 1).astype(int)
-        fn = partial(_wiener_chunk, grid.dt, grid.n_steps, master_seed)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return np.concatenate(list(pool.map(fn, bounds[:-1], bounds[1:])), axis=0)
-    except MemoryError as exc:
-        raise MemoryError(
-            f"cannot allocate {n_rows} x {grid.n_steps} Wiener increments"
-        ) from exc
+    workers = min(workers or 1, n_rows, os.cpu_count() or 1)
+    if workers <= 1:
+        return _wiener_chunk(grid.dt, grid.n_steps, master_seed, 0, n_rows)
+    bounds = np.linspace(0, n_rows, workers + 1).astype(int)
+    fn = partial(_wiener_chunk, grid.dt, grid.n_steps, master_seed)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return np.concatenate(list(pool.map(fn, bounds[:-1], bounds[1:])), axis=0)
 
 
 def wiener_ensemble(

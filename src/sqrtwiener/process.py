@@ -27,8 +27,9 @@ multiplied in.
 
 Both integrators draw their increments through paths.draw_increments, the
 one loop that keys a Philox stream per row, and map their bracket over the
-drawn array; the bracket is a pure function of dw.  Every CSV the package
-writes goes through write_csv, and every digest through array_digest.
+drawn array; the bracket is a pure function of dw.  Ensembles store only
+these increments; cumulative values are computed on read.  Every CSV goes
+through write_csv, and every digest through array_digest.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .paths import TimeGrid, WienerEnsemble, draw_increments, phi_half, sign_of
+from .paths import TimeGrid, WienerEnsemble, cumulative_paths, draw_increments, phi_half, sign_of
 
 __all__ = [
     "SqrtParams",
@@ -109,44 +110,40 @@ def sqrt_step_drifted(dw, dt: float, params: SqrtParams, phi):
 
 @dataclass(frozen=True)
 class ComplexPathEnsemble:
-    """n_paths complex paths: per-step increments and cumulative values.
+    """n_paths complex paths, stored as their per-step increments only.
 
-    values[:, 0] is 0 and values[:, k+1] - values[:, k] recovers
-    increments[:, k] up to one rounding of the running sum (~1 ulp of the
-    cumulative value); increments are the primary data and all statistics
-    are computed from them.
+    values, the cumulative paths, is computed on each read: values[:, 0] is
+    0 and values[:, k+1] - values[:, k] recovers increments[:, k] up to one
+    rounding of the running sum (~1 ulp of the cumulative value); all
+    statistics are computed from the increments.
     """
 
     grid: TimeGrid
     increments: np.ndarray  # (n_paths, n_steps) complex128
-    values: np.ndarray      # (n_paths, n_steps + 1) complex128
 
     def __post_init__(self) -> None:
-        m, n = self.increments.shape
+        _, n = self.increments.shape
         if n != self.grid.n_steps:
             raise ValueError(
                 f"increments have {n} steps, grid has {self.grid.n_steps}"
             )
-        if self.values.shape != (m, n + 1):
-            raise ValueError(
-                f"values have shape {self.values.shape}, expected {(m, n + 1)}"
-            )
 
     @classmethod
     def from_increments(cls, grid: TimeGrid, increments: np.ndarray) -> "ComplexPathEnsemble":
-        m = increments.shape[0]
-        values = np.empty((m, grid.n_steps + 1), dtype=np.complex128)
-        values[:, 0] = 0.0
-        np.cumsum(increments, axis=1, out=values[:, 1:])
-        return cls(grid, increments, values)
+        return cls(grid, increments)
 
     @property
     def n_paths(self) -> int:
         return self.increments.shape[0]
 
     @property
+    def values(self) -> np.ndarray:
+        """Cumulative paths, shape (n_paths, n_steps + 1), starting at 0."""
+        return cumulative_paths(self.increments)
+
+    @property
     def terminal_values(self) -> np.ndarray:
-        return self.values[:, -1]
+        return self.values[:, -1].copy()
 
 
 # Increments per step block: keeps the bracket's temporaries in cache.
@@ -174,18 +171,12 @@ def integrate_sqrt(
         )
     step = sqrt_step_drifted if params.mu0 == 0.5 else sqrt_step_scalar
     rows = max(1, _STEP_BLOCK // grid.n_steps)
-    try:
-        dw = draw_increments(grid, n_paths, master_seed, workers)
-        inc = np.empty(dw.shape, dtype=np.complex128)
-        for lo in range(0, n_paths, rows):
-            w = WienerEnsemble(grid, dw[lo:lo + rows])
-            inc[lo:lo + rows] = step(w.dw, grid.dt, params, phi_half(w))
-        del dw, w
-        return ComplexPathEnsemble.from_increments(grid, inc)
-    except MemoryError as exc:
-        raise MemoryError(
-            f"cannot allocate ensemble of {n_paths} x {grid.n_steps} complex increments"
-        ) from exc
+    dw = draw_increments(grid, n_paths, master_seed, workers)
+    inc = np.empty(dw.shape, dtype=np.complex128)
+    for lo in range(0, n_paths, rows):
+        w = WienerEnsemble(grid, dw[lo:lo + rows])
+        inc[lo:lo + rows] = step(w.dw, grid.dt, params, phi_half(w))
+    return ComplexPathEnsemble(grid, inc)
 
 
 @dataclass(frozen=True)
@@ -236,13 +227,13 @@ def integrate_general(
     for a, c in enumerate(coeffs):
         w = WienerEnsemble(grid, dw[:, a])
         bracket = c.kappa + c.xi * w.dw * sign_of(w) + c.zeta * grid.dt + 1j * c.eta * _G5
-        out.append(ComplexPathEnsemble.from_increments(grid, bracket * phi_half(w)))
+        out.append(ComplexPathEnsemble(grid, bracket * phi_half(w)))
     return out
 
 
 def array_digest(arr: np.ndarray) -> str:
     """SHA-256 digest of an array's C-order bytes, as 'sha256:<hex>'."""
-    return "sha256:" + hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
+    return "sha256:" + hashlib.sha256(np.ascontiguousarray(arr)).hexdigest()
 
 
 def ensemble_digest(ensemble) -> str:

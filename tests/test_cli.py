@@ -277,3 +277,49 @@ def test_fpsolve_stability_violation_names_bound(tmp_path, capsys):
 def test_fpsolve_requires_mu0_half(tmp_path, capsys):
     assert run("fpsolve", "--mu0", "2.0", "--output", str(tmp_path / "fp")) == 1
     assert "mu0" in capsys.readouterr().err
+
+
+def test_memory_error_exits_1_naming_the_size(tmp_path, capsys):
+    # one worker: the increment array is allocated at once in this process
+    code = run("simulate", "--paths", "1000000000000", "--threads", "1",
+               "--output", str(tmp_path / "huge"))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "n_paths = 1000000000000" in err and "n_steps = 1000" in err
+    assert "Traceback" not in err
+
+
+def test_stale_outputs_of_an_earlier_run_removed(tmp_path):
+    out = tmp_path / "run"
+    assert run("table1", "--paths", "20", "--steps", "16", "--output", str(out)) == 0
+    assert (out / "table1.csv").exists()
+    (out / "notes.txt").write_text("not listed by any manifest")
+    assert run("simulate", "--paths", "5", "--steps", "8", "--output", str(out)) == 0
+    assert sorted(os.listdir(out)) == ["ensemble.csv", "manifest.json", "notes.txt"]
+
+
+def test_stale_output_removal_deletes_only_bare_names_inside(tmp_path):
+    out = tmp_path / "run"
+    (out / "sub").mkdir(parents=True)
+    outside = tmp_path / "outside.csv"
+    for f in (outside, out / "sub" / "inner.csv"):
+        f.write_text("keep")
+    listed = ["../outside.csv", str(outside), "sub/inner.csv", "sub", "..", "", 7, None]
+    (out / "manifest.json").write_text(json.dumps({"outputs": listed}))
+    assert run("simulate", "--paths", "5", "--steps", "8", "--output", str(out)) == 0
+    assert outside.exists() and (out / "sub" / "inner.csv").exists()
+
+
+@pytest.mark.parametrize("old_manifest", [
+    "{not json", '["old.csv"]', '{"outputs": "old.csv"}', '{"files": ["old.csv"]}', b"\xff\xfe",
+])
+def test_unreadable_old_manifest_deletes_nothing(tmp_path, old_manifest):
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "old.csv").write_text("keep")
+    if isinstance(old_manifest, bytes):
+        (out / "manifest.json").write_bytes(old_manifest)
+    else:
+        (out / "manifest.json").write_text(old_manifest)
+    assert run("simulate", "--paths", "5", "--steps", "8", "--output", str(out)) == 0
+    assert (out / "old.csv").exists()

@@ -21,6 +21,7 @@ from sqrtwiener import (
     sign_of,
     wiener_ensemble,
 )
+from sqrtwiener import paths
 
 DT = 0.001
 
@@ -220,6 +221,37 @@ def test_wiener_ensemble_worker_count_is_invisible():
     one = wiener_ensemble(grid, 9, master_seed=3, workers=1)
     two = wiener_ensemble(grid, 9, master_seed=3, workers=2)
     assert one.dw.tobytes() == two.dw.tobytes()
+
+
+def test_worker_count_capped_by_rows_and_cpus(monkeypatch):
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(paths, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(paths.os, "cpu_count", lambda: 3)
+    grid = TimeGrid(DT, 16)
+    serial = wiener_ensemble(grid, 50, master_seed=3, workers=1)
+    assert started == []
+    capped = wiener_ensemble(grid, 50, master_seed=3, workers=10_000)
+    assert started == [3]
+    assert capped.dw.tobytes() == serial.dw.tobytes()
+    wiener_ensemble(grid, 2, master_seed=3, workers=10_000)
+    assert started == [3, 2]
+    monkeypatch.setattr(paths.os, "cpu_count", lambda: None)
+    wiener_ensemble(grid, 50, master_seed=3, workers=10_000)
+    assert started == [3, 2]
 
 
 def test_wiener_ensemble_rejects_empty():

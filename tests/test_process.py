@@ -1,5 +1,8 @@
 """Square-root process steps, integrators, and the generalized form."""
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 import sympy
@@ -21,6 +24,7 @@ from sqrtwiener import (
     sqrt_step_drifted,
     sqrt_step_scalar,
 )
+from sqrtwiener.process import array_digest
 
 DT = 0.001
 GRID = TimeGrid(DT, 1000)
@@ -138,6 +142,23 @@ def test_values_cumulative_invariants():
         np.diff(ens.values, axis=1), ens.increments, rtol=0, atol=1e-12
     )
     np.testing.assert_array_equal(ens.terminal_values, ens.values[:, -1])
+    zero = np.zeros((4, 1), complex)
+    np.testing.assert_array_equal(
+        ens.values, np.concatenate([zero, np.cumsum(ens.increments, axis=1)], axis=1)
+    )
+
+
+def test_ensemble_stores_only_its_increments():
+    names = [f.name for f in dataclasses.fields(ComplexPathEnsemble)]
+    assert names == ["grid", "increments"]
+
+
+def test_array_digest_of_strided_view_hashes_its_copy():
+    arr = integrate_sqrt(TimeGrid(DT, 16), 5, SqrtParams(), master_seed=3).increments
+    for view in (arr[:, ::3], arr.T, arr[::2, -1], arr.real):
+        assert not view.flags.c_contiguous
+        expected = "sha256:" + hashlib.sha256(view.copy().tobytes()).hexdigest()
+        assert array_digest(view) == expected
 
 
 def test_increment_phase_matches_increment_sign():
@@ -222,7 +243,7 @@ def test_general_rejects_empty_coeffs():
 
 def test_ensemble_shape_validation():
     with pytest.raises(ValueError):
-        ComplexPathEnsemble(GRID, np.zeros((2, 3), complex), np.zeros((2, 4), complex))
+        ComplexPathEnsemble(GRID, np.zeros((2, 3), complex))
 
 
 def test_csv_roundtrip_and_summary(tmp_path):

@@ -207,14 +207,10 @@ def test_table1_path_permutation_bit_exact(protocol_ensembles):
     # permuting 2000-path slices keeps runtime small while exercising the
     # canonical reductions
     w_small = WienerEnsemble(wiener.grid, wiener.dw[:2000])
-    s_small = ComplexPathEnsemble(
-        sqrt_ens.grid, sqrt_ens.increments[:2000], sqrt_ens.values[:2000]
-    )
+    s_small = ComplexPathEnsemble(sqrt_ens.grid, sqrt_ens.increments[:2000])
     perm = np.random.default_rng(9).permutation(2000)
     w_perm = WienerEnsemble(wiener.grid, wiener.dw[:2000][perm])
-    s_perm = ComplexPathEnsemble(
-        sqrt_ens.grid, sqrt_ens.increments[:2000][perm], sqrt_ens.values[:2000][perm]
-    )
+    s_perm = ComplexPathEnsemble(sqrt_ens.grid, sqrt_ens.increments[:2000][perm])
     t1 = table1_statistics(w_small, s_small, SqrtParams())
     t2 = table1_statistics(w_perm, s_perm, SqrtParams())
     for row in ("brownian", "square_root"):
