@@ -24,6 +24,7 @@ from sqrtwiener import (
     sqrt_step_drifted,
     sqrt_step_scalar,
 )
+from sqrtwiener.paths import cumulative_paths
 from sqrtwiener.process import array_digest
 
 DT = 0.001
@@ -146,6 +147,11 @@ def test_values_cumulative_invariants():
     np.testing.assert_array_equal(
         ens.values, np.concatenate([zero, np.cumsum(ens.increments, axis=1)], axis=1)
     )
+
+
+def test_terminal_values_equal_last_cumulative_column():
+    ens = integrate_sqrt(TimeGrid(DT, 256), 601, SqrtParams(), master_seed=12)
+    np.testing.assert_array_equal(ens.terminal_values, cumulative_paths(ens.increments)[:, -1])
 
 
 def test_ensemble_stores_only_its_increments():

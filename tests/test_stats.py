@@ -15,6 +15,8 @@ Frozen oracle values used below (dt = 0.001, mu0 = 1/2, beta = 0):
   brute-force run (0.166892 +- 0.000473).
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -220,6 +222,34 @@ def test_table1_path_permutation_bit_exact(protocol_ensembles):
                 sa, sb = getattr(a, field), getattr(b, field)
                 assert sa.value == sb.value
                 assert sa.stderr == sb.stderr
+
+
+def _table1_hex_digest(table) -> str:
+    parts = [
+        part
+        for s in table.brownian + table.square_root
+        for stat in (s.mean, s.pseudo_variance, s.diffusion)
+        for z in (stat.value, stat.stderr)
+        for part in (z.real.hex(), z.imag.hex())
+    ]
+    return hashlib.sha256(",".join(parts).encode()).hexdigest()
+
+
+TABLE1_GOLDEN = {
+    (0.5, 0.0): "92aaf75c34d7988d1b5657a7a099cd494284c9b5667a0f77363a3fd5772afa19",
+    (0.7, 0.0): "aa23c2294c451cba24396a95e075f6fb3a23279cc2d090bfaa96c9ba87c0f557",
+}
+
+
+@pytest.mark.parametrize("case", list(TABLE1_GOLDEN), ids=str)
+def test_table1_statistics_golden(case):
+    # 601 paths x 256 steps: more rows than one reduction block, and a row
+    # count that no block size divides; pins every value and stderr bit
+    grid, params = TimeGrid(DT, 256), SqrtParams(*case)
+    wiener = wiener_ensemble(grid, 601, master_seed=11)
+    sqrt_ens = integrate_sqrt(grid, 601, params, master_seed=11)
+    table = table1_statistics(wiener, sqrt_ens, params)
+    assert _table1_hex_digest(table) == TABLE1_GOLDEN[case]
 
 
 def test_table1_shape_mismatch_rejected(protocol_ensembles):
