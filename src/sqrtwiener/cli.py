@@ -14,9 +14,11 @@ Configuration precedence is flags > JSON config file > defaults; the
 effective configuration is echoed into every manifest.  The defaults
 reproduce the reference Monte Carlo protocol (20000 paths of 1000 steps at
 dt = 0.001, mu0 = 1/2, beta = 0).  Exit codes: 0 success, 1 configuration
-error or not enough memory for n_paths x n_steps, 2 I/O error.  A run
-writes its manifest last, after deleting the files that the directory's
-previous manifest listed and the new one does not.
+error or not enough memory for n_paths x n_steps, 2 I/O error.  Every
+file is written to a temporary file and renamed into place.  A run writes
+its manifest last, after deleting the files that the directory's previous
+manifest listed and the new one does not; the manifest records the library
+versions and this process's peak RSS.
 
 The only environment variable honored is SQRTWIENER_OUTPUT, an optional
 default output directory used when neither --output nor the config file set
@@ -31,16 +33,20 @@ import hashlib
 import json
 import math
 import os
+import platform
+import resource
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
+import scipy
 
+from . import __version__
 from . import kernels as kn
 from . import stats as st
-from .paths import RNG_NAME, TimeGrid, wiener_ensemble
+from .paths import RNG_NAME, TimeGrid, cumulative_terminal, wiener_ensemble
 from .process import (
     SqrtParams,
     array_digest,
@@ -48,6 +54,7 @@ from .process import (
     ensemble_digest,
     ensemble_to_csv,
     integrate_sqrt,
+    replaced_atomically,
     write_csv,
 )
 
@@ -208,6 +215,12 @@ def make_manifest(command: str, config: RunConfig, increment_digest: str, **extr
         "increment_digest": increment_digest,
         "rng": RNG_NAME,
         "pauli_pair": list(PAULI_PAIR),
+        "versions": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "sqrtwiener": __version__,
+        },
     }
     manifest.update(extra)
     return manifest
@@ -230,15 +243,21 @@ def _prepare_output(config: RunConfig) -> Path:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w") as fh:
+    with replaced_atomically(path) as tmp, open(tmp, "w") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
 
 
-def _write_manifest(out: Path, manifest: dict) -> None:
-    """Write manifest.json, first deleting the files the old manifest in out
-    listed that this one does not.  Only bare file names inside out are
-    deleted, and an unreadable old manifest deletes nothing."""
+def _write_manifest(out: Path, manifest: dict, reports: dict[str, dict] | None = None) -> None:
+    """Record this process's peak RSS so far in manifest, write each report
+    (reports embed the manifest), then write manifest.json, first deleting
+    the files the old manifest in out listed that this one does not.  Only
+    bare file names inside out are deleted, and an unreadable old manifest
+    deletes nothing."""
+    # ru_maxrss is in KiB on Linux; worker processes are not included
+    manifest["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    for name, report in (reports or {}).items():
+        _write_json(out / name, report)
     try:
         old = json.loads((out / "manifest.json").read_text())["outputs"]
     except (OSError, ValueError, LookupError, TypeError):
@@ -358,8 +377,7 @@ def cmd_table1(config: RunConfig) -> int:
         ),
     }
     manifest["outputs"] = ["table1.csv", "table1_report.json", "manifest.json"]
-    _write_json(out / "table1_report.json", report)
-    _write_manifest(out, manifest)
+    _write_manifest(out, manifest, {"table1_report.json": report})
     print(f"table1: wrote {csv_path}")
     print(
         "brownian temporal variance "
@@ -398,7 +416,7 @@ def cmd_kernels(
     # square-root terminal values (interpretation recorded in the manifest)
     wiener = wiener_ensemble(config.grid, config.n_paths, config.seed, config.workers)
     sqrt_ens = integrate_sqrt(config.grid, config.n_paths, config.params, config.seed, config.workers)
-    w_term = wiener.values()[:, -1].copy()
+    w_term = cumulative_terminal(wiener.dw)
     wick_emp = kn.wick_rotate_samples(kn.square_samples(sqrt_ens.terminal_values))
 
     hist_w = st.build_histogram(w_term, bins, normalization="density")
@@ -459,8 +477,7 @@ def cmd_kernels(
         "kernels_report.json",
         "manifest.json",
     ]
-    _write_json(out / "kernels_report.json", report)
-    _write_manifest(out, manifest)
+    _write_manifest(out, manifest, {"kernels_report.json": report})
     print(
         f"kernels: max|wick-heat| = {max_wick_err:.3e}, "
         f"fits R^2 = {[f.get('r_squared') for f in fits.values()]}"
@@ -570,8 +587,7 @@ def cmd_fpsolve(
         "self_convergence": _fp_convergence_study(p),
     }
     manifest["outputs"] = names + ["fp_report.json", "manifest.json"]
-    _write_json(out / "fp_report.json", report)
-    _write_manifest(out, manifest)
+    _write_manifest(out, manifest, {"fp_report.json": report})
     print(
         f"fpsolve: mass drift {per_step_drift:.3e}/step, "
         f"heat-mode Linf {report['heat_mode_validation']['l_inf_error']:.3e}, "

@@ -16,6 +16,10 @@ exactly one uniform draw mapped through the inverse normal CDF.  Streams are
 therefore independent across paths and bit-stable across platforms, path
 order, and worker counts.  draw_increments is the one loop that keys and
 draws these streams; every ensemble is built from its output.
+
+Passes over a whole ensemble (the cumulative terminal column here, the pooled
+reductions in stats) walk it in the row blocks of row_blocks, so their
+temporaries are set by one block, not by n_paths x n_steps.
 """
 
 from __future__ import annotations
@@ -36,7 +40,9 @@ __all__ = [
     "WienerIncrements",
     "WienerEnsemble",
     "make_rng",
+    "row_blocks",
     "cumulative_paths",
+    "cumulative_terminal",
     "sample_wiener",
     "sign_of",
     "abs_of",
@@ -100,10 +106,32 @@ class SeedSpec:
             raise ValueError("path_index must fit in an unsigned 64-bit integer")
 
 
+# Elements per row block of a pass over an ensemble (a block holds at least
+# one row): bounds the temporaries of the pass by one block.
+_BLOCK_ELEMENTS = 1 << 16
+
+
+def row_blocks(rows: np.ndarray) -> list[slice]:
+    """Slices of consecutive rows of a 2-D array, about _BLOCK_ELEMENTS
+    elements each."""
+    n_rows, n_cols = rows.shape
+    step = max(1, _BLOCK_ELEMENTS // max(1, n_cols))
+    return [slice(lo, lo + step) for lo in range(0, n_rows, step)]
+
+
 def cumulative_paths(increments: np.ndarray) -> np.ndarray:
     """Running sums along the last axis in step order, after a leading 0."""
     out = np.zeros(increments.shape[:-1] + (increments.shape[-1] + 1,), increments.dtype)
     np.cumsum(increments, axis=-1, out=out[..., 1:])
+    return out
+
+
+def cumulative_terminal(increments: np.ndarray) -> np.ndarray:
+    """cumulative_paths(increments)[:, -1] of a 2-D array, bit for bit,
+    with only one row block's running sums alive at a time."""
+    out = np.empty(increments.shape[0], increments.dtype)
+    for block in row_blocks(increments):
+        out[block] = cumulative_paths(increments[block])[:, -1]
     return out
 
 

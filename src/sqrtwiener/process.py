@@ -29,19 +29,31 @@ Both integrators draw their increments through paths.draw_increments, the
 one loop that keys a Philox stream per row, and map their bracket over the
 drawn array; the bracket is a pure function of dw.  Ensembles store only
 these increments; cumulative values are computed on read.  Every CSV goes
-through write_csv, and every digest through array_digest.
+through write_csv, which writes a temporary file and renames it into place,
+and every digest through array_digest.
 """
 
 from __future__ import annotations
 
 import gzip
 import hashlib
+import io
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .paths import TimeGrid, WienerEnsemble, cumulative_paths, draw_increments, phi_half, sign_of
+from .paths import (
+    TimeGrid,
+    WienerEnsemble,
+    cumulative_paths,
+    cumulative_terminal,
+    draw_increments,
+    phi_half,
+    sign_of,
+)
 
 __all__ = [
     "SqrtParams",
@@ -53,6 +65,7 @@ __all__ = [
     "integrate_general",
     "array_digest",
     "ensemble_digest",
+    "replaced_atomically",
     "write_csv",
     "column_blocks",
     "ensemble_to_csv",
@@ -115,7 +128,9 @@ class ComplexPathEnsemble:
     values, the cumulative paths, is computed on each read: values[:, 0] is
     0 and values[:, k+1] - values[:, k] recovers increments[:, k] up to one
     rounding of the running sum (~1 ulp of the cumulative value); all
-    statistics are computed from the increments.
+    statistics are computed from the increments.  terminal_values, the last
+    column of values, is summed one row block at a time and never builds
+    values.
     """
 
     grid: TimeGrid
@@ -143,7 +158,8 @@ class ComplexPathEnsemble:
 
     @property
     def terminal_values(self) -> np.ndarray:
-        return self.values[:, -1].copy()
+        """values[:, -1], bit for bit, at the memory of one row block."""
+        return cumulative_terminal(self.increments)
 
 
 # Increments per step block: keeps the bracket's temporaries in cache.
@@ -246,6 +262,21 @@ def ensemble_digest(ensemble) -> str:
     return array_digest(ensemble.dw if arr is None else arr)
 
 
+@contextmanager
+def replaced_atomically(path) -> Iterator[str]:
+    """Yield a temporary path beside path.  When the body returns, the
+    temporary file replaces path in one os.replace; when it raises, the
+    temporary file is deleted and path keeps its earlier contents."""
+    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def write_csv(
     path,
     comments: Sequence[str],
@@ -257,18 +288,23 @@ def write_csv(
 
     Each block is a flat sequence of values, row after row, formatted with
     one %-operation of row_template repeated once per row.  The file is
-    gzipped when path ends with '.gz'.  Returns the number of rows written.
+    gzipped when path ends with '.gz', and replaces path only once it is
+    complete.  Returns the number of rows written.
     """
     width = row_template.count("%")
-    opener = gzip.open if str(path).endswith(".gz") else open
     rows = 0
-    with opener(path, "wt", newline="") as fh:
-        fh.writelines(f"# {line}\n" for line in comments)
-        fh.write(header + "\n")
-        for block in blocks:
-            n = len(block) // width
-            fh.write(row_template * n % tuple(block))
-            rows += n
+    with replaced_atomically(path) as tmp, open(tmp, "wb") as raw:
+        binary = raw
+        if str(path).endswith(".gz"):
+            # the gzip header names the final file, not the temporary one
+            binary = gzip.GzipFile(os.path.basename(path), "wb", fileobj=raw)
+        with io.TextIOWrapper(binary, newline="") as fh:
+            fh.writelines(f"# {line}\n" for line in comments)
+            fh.write(header + "\n")
+            for block in blocks:
+                n = len(block) // width
+                fh.write(row_template * n % tuple(block))
+                rows += n
     return rows
 
 

@@ -32,6 +32,13 @@ Pooled reductions accumulate per-path partial sums with exact (fsum)
 cross-path summation, and batch boundaries are taken in a canonical path
 order, so all reported numbers are bit-identical under any permutation of
 the ensemble's path order.
+
+Every reduction over a whole ensemble walks it in the row blocks of
+paths.row_blocks, converting one block at a time to complex128, so its
+temporaries are set by one block, not by the ensemble.  The results are
+bit-identical to whole-array reductions: each element gets the same
+arithmetic, each row's numpy sum and cumsum do not depend on how many rows
+the array holds, and the fsum across rows is exact.
 """
 
 from __future__ import annotations
@@ -43,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import OptimizeWarning, curve_fit
 
-from .paths import WienerEnsemble
+from .paths import WienerEnsemble, cumulative_paths, row_blocks
 from .process import ComplexPathEnsemble, SqrtParams
 
 __all__ = [
@@ -134,9 +141,14 @@ class FitError(RuntimeError):
 # does not depend on row order
 # ---------------------------------------------------------------------------
 
-def _exact_total(rows: np.ndarray) -> float:
-    rows = np.atleast_2d(rows)
-    return math.fsum(np.sum(rows, axis=1))
+def _exact_totals(rows: np.ndarray, parts) -> list[float]:
+    """Exact total over all rows of each array parts(z) returns, where z
+    runs over the row blocks of rows converted to complex128."""
+    per_row = []
+    for block in row_blocks(rows):
+        z = np.asarray(rows[block], dtype=np.complex128)
+        per_row.append([np.sum(p, axis=1) for p in parts(z)])
+    return [math.fsum(np.concatenate(sums)) for sums in zip(*per_row)]
 
 
 def _exact_mean_std(x: np.ndarray) -> tuple[float, float]:
@@ -151,17 +163,20 @@ def _exact_mean_std(x: np.ndarray) -> tuple[float, float]:
 
 
 def pooled_complex_mean(rows: np.ndarray) -> ComplexStat:
-    """Mean of all entries of a (paths, steps) complex array, with
+    """Mean of all entries of a (paths, steps) real or complex array, with
     componentwise stderr; bit-identical under row permutation."""
-    rows = np.atleast_2d(np.asarray(rows, dtype=np.complex128))
+    rows = np.atleast_2d(np.asarray(rows))
     n = rows.size
-    re_sum = _exact_total(rows.real)
-    im_sum = _exact_total(rows.imag)
+    if n == 0:
+        raise ValueError("mean of an empty array is undefined")
+    re_sum, im_sum, re_sq, im_sq = _exact_totals(
+        rows, lambda z: (z.real, z.imag, z.real**2, z.imag**2)
+    )
     mean = complex(re_sum / n, im_sum / n)
     if n < 2:
         return ComplexStat(mean, 0j, n)
-    re_var = (_exact_total(rows.real**2) - n * mean.real**2) / (n - 1)
-    im_var = (_exact_total(rows.imag**2) - n * mean.imag**2) / (n - 1)
+    re_var = (re_sq - n * mean.real**2) / (n - 1)
+    im_var = (im_sq - n * mean.imag**2) / (n - 1)
     stderr = complex(
         math.sqrt(max(re_var, 0.0) / n), math.sqrt(max(im_var, 0.0) / n)
     )
@@ -192,9 +207,12 @@ def _batch_pv_stderr(rows: np.ndarray) -> complex:
         return 0j
     order = _canonical_path_order(rows)
     bounds = np.linspace(0, m, n_batches + 1).astype(int)
-    vals = np.array(
-        [_pv_of(rows[order[a:b]].ravel()) for a, b in zip(bounds[:-1], bounds[1:])]
-    )
+    # complex128 before _pv_of: numpy's complex sum adds in another order
+    # than its real sum
+    vals = np.array([
+        _pv_of(np.asarray(rows[order[a:b]], dtype=np.complex128).ravel())
+        for a, b in zip(bounds[:-1], bounds[1:])
+    ])
     return complex(
         vals.real.std(ddof=1) / math.sqrt(n_batches),
         vals.imag.std(ddof=1) / math.sqrt(n_batches),
@@ -202,17 +220,22 @@ def _batch_pv_stderr(rows: np.ndarray) -> complex:
 
 
 def pooled_pseudo_variance(rows: np.ndarray) -> ComplexStat:
-    """Pseudo-variance of all entries of a (paths, steps) complex array;
-    value is bit-identical under row permutation, stderr by batch means
-    over whole-path batches in canonical order."""
-    rows = np.atleast_2d(np.asarray(rows, dtype=np.complex128))
+    """Pseudo-variance of all entries of a (paths, steps) real or complex
+    array; value is bit-identical under row permutation, stderr by batch
+    means over whole-path batches in canonical order."""
+    rows = np.atleast_2d(np.asarray(rows))
     n = rows.size
     if n < 2:
         raise ValueError("pseudo-variance requires at least 2 samples")
-    mean = complex(_exact_total(rows.real) / n, _exact_total(rows.imag) / n)
-    d = rows - mean
-    sq = d * d
-    pv = complex(_exact_total(sq.real), _exact_total(sq.imag)) / (n - 1)
+    re_sum, im_sum = _exact_totals(rows, lambda z: (z.real, z.imag))
+    mean = complex(re_sum / n, im_sum / n)
+
+    def squares(z):
+        d = z - mean
+        sq = d * d
+        return sq.real, sq.imag
+
+    pv = complex(*_exact_totals(rows, squares)) / (n - 1)
     return ComplexStat(pv, _batch_pv_stderr(rows), n)
 
 
@@ -289,11 +312,13 @@ def table1_statistics(
     dt = wiener.grid.dt
 
     # Brownian row: per-path temporal statistics over t_1 .. t_N
-    w_vals = wiener.values()[:, 1:]
-    t_means = w_vals.mean(axis=1)
-    t_vars = w_vals.var(axis=1)
-    mean_val, mean_std = _exact_mean_std(t_means)
-    var_val, var_std = _exact_mean_std(t_vars)
+    t_means, t_vars = [], []
+    for block in row_blocks(wiener.dw):
+        w_vals = cumulative_paths(wiener.dw[block])[:, 1:]
+        t_means.append(w_vals.mean(axis=1))
+        t_vars.append(w_vals.var(axis=1))
+    mean_val, mean_std = _exact_mean_std(np.concatenate(t_means))
+    var_val, var_std = _exact_mean_std(np.concatenate(t_vars))
     mean_stat = ComplexStat(complex(mean_val), complex(mean_std / math.sqrt(m)), m)
     var_stat = ComplexStat(complex(var_val), complex(var_std / math.sqrt(m)), m)
     d_paper = math.sqrt(var_val) / 2

@@ -3,9 +3,14 @@
 import gzip
 import json
 import os
+import platform
 import time
 
+import numpy as np
 import pytest
+import scipy
+
+import sqrtwiener
 
 from sqrtwiener.cli import (
     COMPRESS_ROW_THRESHOLD,
@@ -198,6 +203,66 @@ def test_gzip_paths_write_readable_archives(tmp_path):
     ensemble_to_csv(ens, gz)
     with gzip.open(gz, "rt") as fh:
         assert fh.readline().startswith("path_index")
+
+
+def test_gzip_header_names_the_final_file(tmp_path):
+    from sqrtwiener.process import write_csv
+
+    path = tmp_path / "ensemble.csv.gz"
+    write_csv(path, [], "a", "%d\n", [[1, 2]])
+    raw = path.read_bytes()
+    assert raw[3] & 0x08  # FNAME flag
+    assert raw[10:raw.index(b"\0", 10)] == b"ensemble.csv"
+    assert gzip.decompress(raw) == b"a\n1\n2\n"
+
+
+def test_failed_write_keeps_the_earlier_file_and_no_temporary(tmp_path):
+    from sqrtwiener.cli import _write_json
+    from sqrtwiener.process import write_csv
+
+    def failing_blocks():
+        yield [3, 4]
+        raise RuntimeError("writer failed mid-write")
+
+    for name in ("t.csv", "t.csv.gz"):
+        path = tmp_path / name
+        write_csv(path, ["run 1"], "a", "%d\n", [[1, 2]])
+        before = path.read_bytes()
+        with pytest.raises(RuntimeError, match="mid-write"):
+            write_csv(path, ["run 2"], "a", "%d\n", failing_blocks())
+        assert path.read_bytes() == before
+
+    path = tmp_path / "r.json"
+    _write_json(path, {"run": 1})
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        _write_json(path, {"run": 2, "unserializable": object()})
+    assert path.read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == ["r.json", "t.csv", "t.csv.gz"]
+
+
+@pytest.mark.parametrize("command", ["simulate", "table1", "kernels"])
+def test_manifest_records_peak_rss_and_versions(tmp_path, command):
+    out = tmp_path / "run"
+    argv = (command, "--paths", "40", "--steps", "16", "--threads", "1", "--output", str(out))
+    assert run(*argv) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["peak_rss_mb"] > 0
+    assert manifest["versions"] == {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "sqrtwiener": sqrtwiener.__version__,
+    }
+    reports = [n for n in manifest["outputs"] if n.endswith("_report.json")]
+    for name in reports:
+        assert json.loads((out / name).read_text())["manifest"] == manifest
+    csvs = [n for n in manifest["outputs"] if n.endswith(".csv")]
+    first = {n: (out / n).read_bytes() for n in csvs}
+    assert run(*argv) == 0
+    rerun = json.loads((out / "manifest.json").read_text())
+    assert rerun["config_digest"] == manifest["config_digest"]
+    assert {n: (out / n).read_bytes() for n in csvs} == first  # headers and bodies
 
 
 def test_table1_outputs(tmp_path):

@@ -102,6 +102,15 @@ def test_cumulative_starts_at_zero():
     np.testing.assert_allclose(np.diff(path), w.dw, atol=1e-18)
 
 
+def test_cumulative_terminal_is_the_last_cumulative_column():
+    # 601 rows x 256 steps: several row blocks, the last one partial
+    dw = wiener_ensemble(TimeGrid(DT, 256), 601, master_seed=12).dw
+    assert len(paths.row_blocks(dw)) > 1
+    np.testing.assert_array_equal(
+        paths.cumulative_terminal(dw), paths.cumulative_paths(dw)[:, -1]
+    )
+
+
 def test_sign_of_basic():
     grid = TimeGrid(DT, 3)
     w = WienerIncrements(grid, np.array([0.3, -0.2, 0.1]))

@@ -16,6 +16,7 @@ Frozen oracle values used below (dt = 0.001, mu0 = 1/2, beta = 0):
 """
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -44,6 +45,7 @@ from sqrtwiener import (
     table1_statistics,
     wiener_ensemble,
 )
+from sqrtwiener.paths import cumulative_terminal, row_blocks
 from sqrtwiener.stats import TAG_INCREMENT_NORMALIZED, TAG_PAPER_REPORTED, TAG_PATH_TEMPORAL
 
 DT = 0.001
@@ -74,6 +76,8 @@ def test_complex_mean_single_sample():
 def test_complex_mean_empty_rejected():
     with pytest.raises(ValueError):
         complex_mean([])
+    with pytest.raises(ValueError):
+        pooled_complex_mean(np.zeros((0, 4)))
 
 
 def test_phi_stream_mean_two_point_oracle():
@@ -250,6 +254,48 @@ def test_table1_statistics_golden(case):
     sqrt_ens = integrate_sqrt(grid, 601, params, master_seed=11)
     table = table1_statistics(wiener, sqrt_ens, params)
     assert _table1_hex_digest(table) == TABLE1_GOLDEN[case]
+
+
+@pytest.fixture(scope="module")
+def wide_ensembles():
+    # 4000 paths x 500 steps: 16 MB of real dw and 32 MB of complex increments
+    grid = TimeGrid(DT, 500)
+    wiener = wiener_ensemble(grid, 4000, master_seed=3)
+    return wiener, integrate_sqrt(grid, 4000, SqrtParams(), master_seed=3)
+
+
+def _traced(fn, *args):
+    """fn(*args) and the peak of the memory it allocated (numpy reports its
+    buffers to tracemalloc)."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize(
+    "fn", [pooled_complex_mean, pooled_pseudo_variance, cumulative_terminal],
+    ids=lambda fn: fn.__name__,
+)
+def test_ensemble_passes_trace_under_a_quarter_of_their_input(wide_ensembles, fn, real):
+    wiener, sqrt_ens = wide_ensembles
+    rows = wiener.dw if real else sqrt_ens.increments
+    assert len(row_blocks(rows)) > 1
+    _, peak = _traced(fn, rows)
+    assert peak < rows.nbytes / 4
+
+
+def test_table1_statistics_traces_under_a_quarter_of_its_input(wide_ensembles):
+    wiener, sqrt_ens = wide_ensembles
+    _, peak = _traced(table1_statistics, wiener, sqrt_ens, SqrtParams())
+    assert peak < wiener.dw.nbytes / 4
+
+
+def test_cumulative_terminal_holds_no_block(wide_ensembles):
+    out = cumulative_terminal(wide_ensembles[0].dw)
+    assert out.base is None or out.base.size == out.size
 
 
 def test_table1_shape_mismatch_rejected(protocol_ensembles):
