@@ -17,8 +17,9 @@ dt = 0.001, mu0 = 1/2, beta = 0).  Exit codes: 0 success, 1 configuration
 error or not enough memory for n_paths x n_steps, 2 I/O error.  Every
 file is written to a temporary file and renamed into place.  A run writes
 its manifest last, after deleting the files that the directory's previous
-manifest listed and the new one does not; the manifest records the library
-versions and this process's peak RSS.
+manifest listed and the new one does not, and the temporary files a killed
+run left for any name either manifest lists; the manifest records the
+library versions and this process's peak RSS.
 
 The only environment variable honored is SQRTWIENER_OUTPUT, an optional
 default output directory used when neither --output nor the config file set
@@ -34,7 +35,7 @@ import json
 import math
 import os
 import platform
-import resource
+import re
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -248,24 +249,45 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
+def _peak_rss_mb() -> float | None:
+    """This process's peak RSS in MiB (worker processes not included), or
+    None where the platform has no resource module."""
+    try:
+        import resource
+    except ImportError:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / 2**20 if sys.platform == "darwin" else peak / 1024  # bytes on macOS, else KiB
+
+
+# the temporary name process.replaced_atomically gives NAME while writing it
+_TEMPORARY = re.compile(r"\.(.+)\.\d+\.tmp")
+
+
 def _write_manifest(out: Path, manifest: dict, reports: dict[str, dict] | None = None) -> None:
     """Record this process's peak RSS so far in manifest, write each report
     (reports embed the manifest), then write manifest.json, first deleting
-    the files the old manifest in out listed that this one does not.  Only
-    bare file names inside out are deleted, and an unreadable old manifest
-    deletes nothing."""
-    # ru_maxrss is in KiB on Linux; worker processes are not included
-    manifest["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    the files the old manifest in out listed that this one does not, and
+    the temporary files a killed run left for any name either manifest
+    lists.  Only bare file names inside out are deleted, and an unreadable
+    old manifest deletes nothing that this run's manifest does not name."""
+    manifest["peak_rss_mb"] = _peak_rss_mb()
     for name, report in (reports or {}).items():
         _write_json(out / name, report)
     try:
         old = json.loads((out / "manifest.json").read_text())["outputs"]
     except (OSError, ValueError, LookupError, TypeError):
         old = []
-    for name in old if isinstance(old, list) else []:
-        if (isinstance(name, str) and name == os.path.basename(name)
-                and name not in manifest["outputs"] and (out / name).is_file()):
+    old = [n for n in (old if isinstance(old, list) else [])
+           if isinstance(n, str) and n == os.path.basename(n)]
+    for name in old:
+        if name not in manifest["outputs"] and (out / name).is_file():
             (out / name).unlink()
+    listed = set(old) | set(manifest["outputs"])
+    for path in out.iterdir():
+        match = _TEMPORARY.fullmatch(path.name)
+        if match and match.group(1) in listed and path.is_file():
+            path.unlink()
     _write_json(out / "manifest.json", manifest)
 
 

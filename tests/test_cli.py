@@ -265,6 +265,36 @@ def test_manifest_records_peak_rss_and_versions(tmp_path, command):
     assert {n: (out / n).read_bytes() for n in csvs} == first  # headers and bodies
 
 
+
+def test_peak_rss_units_and_missing_resource_module(monkeypatch):
+    import sys
+    import types
+
+    from sqrtwiener.cli import _peak_rss_mb
+
+    usage = types.SimpleNamespace(ru_maxrss=3 * 2**20)
+    fake = types.SimpleNamespace(RUSAGE_SELF=0, getrusage=lambda who: usage)
+    monkeypatch.setitem(sys.modules, "resource", fake)
+    monkeypatch.setattr(sys, "platform", "linux")
+    assert _peak_rss_mb() == 3 * 1024  # KiB
+    monkeypatch.setattr(sys, "platform", "darwin")
+    assert _peak_rss_mb() == 3  # bytes
+    monkeypatch.setitem(sys.modules, "resource", None)  # import raises ImportError
+    assert _peak_rss_mb() is None
+
+
+def test_temporaries_of_a_killed_run_removed(tmp_path):
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "manifest.json").write_text(json.dumps({"outputs": ["table1.csv", "manifest.json"]}))
+    left = [".table1.csv.4242.tmp", ".manifest.json.7.tmp", ".ensemble.csv.99.tmp"]
+    kept = [".notes.txt.5.tmp", ".ensemble.csv.tmp", "ensemble.csv.12.tmp", ".ensemble.csv.x.tmp"]
+    for name in left + kept:
+        (out / name).write_text("partial")
+    assert run("simulate", "--paths", "5", "--steps", "8", "--output", str(out)) == 0
+    assert sorted(os.listdir(out)) == sorted(["ensemble.csv", "manifest.json"] + kept)
+
+
 def test_table1_outputs(tmp_path):
     out = tmp_path / "t1"
     assert run("table1", "--paths", "400", "--steps", "80", "--seed", "2",
