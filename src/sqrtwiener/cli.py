@@ -13,12 +13,14 @@ fpsolve    Crank-Nicolson evolution of the complex advection-diffusion
 Configuration precedence is flags > JSON config file > defaults; the
 effective configuration is echoed into every manifest.  The defaults
 reproduce the reference Monte Carlo protocol (20000 paths of 1000 steps at
-dt = 0.001, mu0 = 1/2, beta = 0).  Exit codes: 0 success, 1 configuration
-error or not enough memory for n_paths x n_steps, 2 I/O error.  Every
-file is written to a temporary file and renamed into place.  A run writes
-its manifest last, after deleting the files that the directory's previous
-manifest listed and the new one does not, and the temporary files a killed
-run left for any name either manifest lists; the manifest records the
+dt = 0.001, mu0 = 1/2, beta = 0); a subcommand's own flags and defaults
+live in its argparse subparser only.  Exit codes: 0 success, 1 configuration
+error, library ValueError, arithmetic out of float range or not enough
+memory for n_paths x n_steps, 2 I/O error.  Every file is written to a
+temporary file (process.replaced_atomically) and renamed into place.  A run
+writes its manifest last, after deleting the files that the directory's
+previous manifest listed and the new one does not, and the temporary files a
+killed run left for any name either manifest lists; the manifest records the
 library versions and this process's peak RSS.
 
 The only environment variable honored is SQRTWIENER_OUTPUT, an optional
@@ -35,7 +37,6 @@ import json
 import math
 import os
 import platform
-import re
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -56,6 +57,7 @@ from .process import (
     ensemble_to_csv,
     integrate_sqrt,
     replaced_atomically,
+    temporary_target,
     write_csv,
 )
 
@@ -150,13 +152,14 @@ class RunConfig:
         if self.csv_max_paths is not None and self.csv_max_paths < 1:
             raise ConfigError(f"csv-paths must be >= 1, got {self.csv_max_paths}")
 
+    # float() below: a real given as an integer too large for int64 is valid
     @property
     def grid(self) -> TimeGrid:
-        return TimeGrid(self.dt, self.n_steps)
+        return TimeGrid(float(self.dt), self.n_steps)
 
     @property
     def params(self) -> SqrtParams:
-        return SqrtParams(self.mu0, self.beta)
+        return SqrtParams(float(self.mu0), float(self.beta))
 
     @property
     def workers(self) -> int:
@@ -260,10 +263,6 @@ def _peak_rss_mb() -> float | None:
     return peak / 2**20 if sys.platform == "darwin" else peak / 1024  # bytes on macOS, else KiB
 
 
-# the temporary name process.replaced_atomically gives NAME while writing it
-_TEMPORARY = re.compile(r"\.(.+)\.\d+\.tmp")
-
-
 def _write_manifest(out: Path, manifest: dict, reports: dict[str, dict] | None = None) -> None:
     """Record this process's peak RSS so far in manifest, write each report
     (reports embed the manifest), then write manifest.json, first deleting
@@ -285,8 +284,7 @@ def _write_manifest(out: Path, manifest: dict, reports: dict[str, dict] | None =
             (out / name).unlink()
     listed = set(old) | set(manifest["outputs"])
     for path in out.iterdir():
-        match = _TEMPORARY.fullmatch(path.name)
-        if match and match.group(1) in listed and path.is_file():
+        if temporary_target(path.name) in listed and path.is_file():
             path.unlink()
     _write_json(out / "manifest.json", manifest)
 
@@ -323,7 +321,7 @@ def ensemble_csv_name(rows: int, compress: bool) -> str:
     return "ensemble.csv"
 
 
-def cmd_simulate(config: RunConfig) -> int:
+def cmd_simulate(config: RunConfig, args: argparse.Namespace) -> int:
     out = _prepare_output(config)
     ens = integrate_sqrt(config.grid, config.n_paths, config.params, config.seed, config.workers)
     digest = ensemble_digest(ens)
@@ -345,7 +343,7 @@ def cmd_simulate(config: RunConfig) -> int:
     return 0
 
 
-def cmd_table1(config: RunConfig) -> int:
+def cmd_table1(config: RunConfig, args: argparse.Namespace) -> int:
     out = _prepare_output(config)
     wiener = wiener_ensemble(config.grid, config.n_paths, config.seed, config.workers)
     sqrt_ens = integrate_sqrt(config.grid, config.n_paths, config.params, config.seed, config.workers)
@@ -409,14 +407,8 @@ def cmd_table1(config: RunConfig) -> int:
     return 0
 
 
-def cmd_kernels(
-    config: RunConfig,
-    t: float = 1.0,
-    x_min: float = -5.0,
-    x_max: float = 5.0,
-    x_points: int = 1001,
-    bins: int | None = None,
-) -> int:
+def cmd_kernels(config: RunConfig, args: argparse.Namespace) -> int:
+    t, x_min, x_max, x_points, bins = args.t, args.x_min, args.x_max, args.x_points, args.bins
     if not t > 0:
         raise ConfigError(f"t must be positive, got {t}")
     if x_points < 8 or not x_max > x_min:
@@ -461,6 +453,11 @@ def cmd_kernels(
         "kernels", config, digest,
         empirical_interpretation="squared-terminal-values",
         kernel_t=t,
+        x_min=x_min,
+        x_max=x_max,
+        x_points=x_points,
+        histogram_bins={"wiener_terminal": len(hist_w.counts),
+                        "sqrt_wick_rotated": len(hist_s.counts)},
     )
     comments = manifest_header_lines(manifest)
 
@@ -540,13 +537,8 @@ def _fp_heat_validation() -> dict:
     }
 
 
-def cmd_fpsolve(
-    config: RunConfig,
-    grid_points: int = 2048,
-    fp_dt: float = 0.001,
-    fp_time: float = 0.5,
-    sigma0: float = 0.3,
-) -> int:
+def cmd_fpsolve(config: RunConfig, args: argparse.Namespace) -> int:
+    grid_points, fp_dt, fp_time, sigma0 = args.grid_points, args.fp_dt, args.fp_time, args.sigma0
     if grid_points < 64:
         raise ConfigError(f"grid-points must be >= 64, got {grid_points}")
     if not fp_dt > 0 or not fp_time > 0 or not sigma0 > 0:
@@ -563,19 +555,16 @@ def cmd_fpsolve(
 
     n_steps = max(1, round(fp_time / fp_dt))
     dt_eff = fp_time / n_steps
-    try:
-        # stepwise evolution to trace per-step mass conservation
-        masses = [kn.grid_integral(init)]
-        profiles = {0.0: init}
-        current = init
-        for k in range(n_steps):
-            current = kn.fp_evolve(current, p, dt_eff, 1)
-            masses.append(kn.grid_integral(current))
-            if k + 1 == n_steps // 2:
-                profiles[n_steps // 2 * dt_eff] = current
-        profiles[fp_time] = current
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    # stepwise evolution to trace per-step mass conservation
+    masses = [kn.grid_integral(init)]
+    profiles = {0.0: init}
+    current = init
+    for k in range(n_steps):
+        current = kn.fp_evolve(current, p, dt_eff, 1)
+        masses.append(kn.grid_integral(current))
+        if k + 1 == n_steps // 2:
+            profiles[n_steps // 2 * dt_eff] = current
+    profiles[fp_time] = current
 
     mass_arr = np.array(masses)
     per_step_drift = float(np.abs(np.diff(mass_arr)).max())
@@ -652,8 +641,10 @@ def _build_parser() -> _Parser:
     p_sim = sub.add_parser("simulate", parents=[common], help="integrate the ensemble")
     p_sim.add_argument("--csv-paths", dest="csv_max_paths", metavar="CSV_PATHS", type=int,
                        default=None, help="down-sample the CSV to this many paths")
+    p_sim.set_defaults(run=cmd_simulate)
 
-    sub.add_parser("table1", parents=[common], help="summary statistics reproduction")
+    p_t = sub.add_parser("table1", parents=[common], help="summary statistics reproduction")
+    p_t.set_defaults(run=cmd_table1)
 
     p_k = sub.add_parser("kernels", parents=[common], help="kernel curves and histograms")
     p_k.add_argument("--t", type=float, default=1.0, help="kernel time")
@@ -661,27 +652,15 @@ def _build_parser() -> _Parser:
     p_k.add_argument("--x-max", type=float, default=5.0)
     p_k.add_argument("--x-points", type=int, default=1001)
     p_k.add_argument("--bins", type=int, default=None, help="histogram bins (default Sturges)")
+    p_k.set_defaults(run=cmd_kernels)
 
     p_f = sub.add_parser("fpsolve", parents=[common], help="evolve the complex diffusion PDE")
     p_f.add_argument("--grid-points", type=int, default=2048)
     p_f.add_argument("--fp-dt", type=float, default=0.001)
     p_f.add_argument("--fp-time", type=float, default=0.5)
     p_f.add_argument("--sigma0", type=float, default=0.3)
+    p_f.set_defaults(run=cmd_fpsolve)
     return parser
-
-
-def _run(args: argparse.Namespace, config: RunConfig) -> int:
-    if args.command == "simulate":
-        return cmd_simulate(config)
-    if args.command == "table1":
-        return cmd_table1(config)
-    if args.command == "kernels":
-        return cmd_kernels(config, t=args.t, x_min=args.x_min, x_max=args.x_max,
-                           x_points=args.x_points, bins=args.bins)
-    if args.command == "fpsolve":
-        return cmd_fpsolve(config, grid_points=args.grid_points, fp_dt=args.fp_dt,
-                           fp_time=args.fp_time, sigma0=args.sigma0)
-    raise ConfigError(f"unknown command {args.command!r}")
 
 
 def main(argv=None) -> int:
@@ -690,11 +669,16 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         config = build_config(args)
         try:
-            return _run(args, config)
+            return args.run(config, args)
         except MemoryError as exc:
             raise ConfigError(
                 f"not enough memory for n_paths = {config.n_paths} x "
                 f"n_steps = {config.n_steps}: {exc}"
+            ) from exc
+        except ArithmeticError as exc:
+            raise ConfigError(
+                f"dt = {config.dt}, mu0 = {config.mu0} and beta = {config.beta} "
+                f"put the arithmetic out of float range: {exc}"
             ) from exc
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,9 +17,10 @@ therefore independent across paths and bit-stable across platforms, path
 order, and worker counts.  draw_increments is the one loop that keys and
 draws these streams; every ensemble is built from its output.
 
-Passes over a whole ensemble (the cumulative terminal column here, the pooled
-reductions in stats) walk it in the row blocks of row_blocks, so their
-temporaries are set by one block, not by n_paths x n_steps.
+Every pass over a whole ensemble (the integrators' brackets in process, the
+cumulative terminal column here, the pooled reductions in stats) walks it in
+the row blocks of row_blocks, so its temporaries are set by one block, not by
+n_paths x n_steps.
 """
 
 from __future__ import annotations
@@ -107,8 +108,9 @@ class SeedSpec:
 
 
 # Elements per row block of a pass over an ensemble (a block holds at least
-# one row): bounds the temporaries of the pass by one block.
-_BLOCK_ELEMENTS = 1 << 16
+# one row): bounds the temporaries of the pass by one block, and keeps the
+# integrators' brackets in cache.
+_BLOCK_ELEMENTS = 1 << 14
 
 
 def row_blocks(rows: np.ndarray) -> list[slice]:

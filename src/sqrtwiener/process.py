@@ -26,11 +26,11 @@ tracked as the position of each ensemble in the returned list, never
 multiplied in.
 
 Both integrators draw their increments through paths.draw_increments, the
-one loop that keys a Philox stream per row, and map their bracket over the
-drawn array; the bracket is a pure function of dw.  Ensembles store only
-these increments; cumulative values are computed on read.  Every CSV goes
-through write_csv, which writes a temporary file and renames it into place,
-and every digest through array_digest.
+one loop that keys a Philox stream per row, and map their bracket, a pure
+function of dw, over its paths.row_blocks through one loop.  Ensembles store
+only these increments; cumulative values are computed on read.  Every CSV
+goes through write_csv, every digest through array_digest, and every output
+file is written as .NAME.PID.tmp (spelled here only) and renamed into place.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ import gzip
 import hashlib
 import io
 import os
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -52,6 +53,7 @@ from .paths import (
     cumulative_terminal,
     draw_increments,
     phi_half,
+    row_blocks,
     sign_of,
 )
 
@@ -66,6 +68,7 @@ __all__ = [
     "array_digest",
     "ensemble_digest",
     "replaced_atomically",
+    "temporary_target",
     "write_csv",
     "column_blocks",
     "ensemble_to_csv",
@@ -162,8 +165,12 @@ class ComplexPathEnsemble:
         return cumulative_terminal(self.increments)
 
 
-# Increments per step block: keeps the bracket's temporaries in cache.
-_STEP_BLOCK = 16384
+def _bracket_blocks(grid: TimeGrid, dw: np.ndarray, bracket) -> ComplexPathEnsemble:
+    """The ensemble of bracket(w) over the row blocks w of dw."""
+    inc = np.empty(dw.shape, dtype=np.complex128)
+    for block in row_blocks(dw):
+        inc[block] = bracket(WienerEnsemble(grid, dw[block]))
+    return ComplexPathEnsemble(grid, inc)
 
 
 def integrate_sqrt(
@@ -186,13 +193,8 @@ def integrate_sqrt(
             "beta != 0 requires mu0 = 1/2 (the drifted step is only derived there)"
         )
     step = sqrt_step_drifted if params.mu0 == 0.5 else sqrt_step_scalar
-    rows = max(1, _STEP_BLOCK // grid.n_steps)
     dw = draw_increments(grid, n_paths, master_seed, workers)
-    inc = np.empty(dw.shape, dtype=np.complex128)
-    for lo in range(0, n_paths, rows):
-        w = WienerEnsemble(grid, dw[lo:lo + rows])
-        inc[lo:lo + rows] = step(w.dw, grid.dt, params, phi_half(w))
-    return ComplexPathEnsemble(grid, inc)
+    return _bracket_blocks(grid, dw, lambda w: step(w.dw, grid.dt, params, phi_half(w)))
 
 
 @dataclass(frozen=True)
@@ -239,12 +241,12 @@ def integrate_general(
     n_dir = len(coeffs)
     dw = draw_increments(grid, n_paths * n_dir, master_seed, workers)
     dw = dw.reshape(n_paths, n_dir, grid.n_steps)
-    out = []
-    for a, c in enumerate(coeffs):
-        w = WienerEnsemble(grid, dw[:, a])
-        bracket = c.kappa + c.xi * w.dw * sign_of(w) + c.zeta * grid.dt + 1j * c.eta * _G5
-        out.append(ComplexPathEnsemble(grid, bracket * phi_half(w)))
-    return out
+    return [
+        _bracket_blocks(grid, dw[:, a], lambda w, c=c: (
+            c.kappa + c.xi * w.dw * sign_of(w) + c.zeta * grid.dt + 1j * c.eta * _G5
+        ) * phi_half(w))
+        for a, c in enumerate(coeffs)
+    ]
 
 
 def array_digest(arr: np.ndarray) -> str:
@@ -260,6 +262,16 @@ def ensemble_digest(ensemble) -> str:
     """
     arr = getattr(ensemble, "increments", None)
     return array_digest(ensemble.dw if arr is None else arr)
+
+
+# the temporary name .NAME.PID.tmp replaced_atomically gives NAME
+_TEMPORARY = re.compile(r"\.(.+)\.\d+\.tmp")
+
+
+def temporary_target(file_name: str) -> str | None:
+    """NAME if file_name is the temporary name of NAME in any process."""
+    match = _TEMPORARY.fullmatch(file_name)
+    return match.group(1) if match else None
 
 
 @contextmanager
@@ -296,8 +308,9 @@ def write_csv(
     with replaced_atomically(path) as tmp, open(tmp, "wb") as raw:
         binary = raw
         if str(path).endswith(".gz"):
-            # the gzip header names the final file, not the temporary one
-            binary = gzip.GzipFile(os.path.basename(path), "wb", fileobj=raw)
+            # the gzip header names the final file, not the temporary one, and
+            # records no write time, so equal rows give equal bytes
+            binary = gzip.GzipFile(os.path.basename(path), "wb", fileobj=raw, mtime=0)
         with io.TextIOWrapper(binary, newline="") as fh:
             fh.writelines(f"# {line}\n" for line in comments)
             fh.write(header + "\n")

@@ -1,14 +1,21 @@
 """CLI contract: config precedence, exit codes, manifests, determinism."""
 
+import contextlib
+import dataclasses
 import gzip
+import io
 import json
 import os
 import platform
+import tempfile
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 import sqrtwiener
 
@@ -212,8 +219,11 @@ def test_gzip_header_names_the_final_file(tmp_path):
     write_csv(path, [], "a", "%d\n", [[1, 2]])
     raw = path.read_bytes()
     assert raw[3] & 0x08  # FNAME flag
+    assert raw[4:8] == bytes(4)  # no write time, so reruns give equal bytes
     assert raw[10:raw.index(b"\0", 10)] == b"ensemble.csv"
     assert gzip.decompress(raw) == b"a\n1\n2\n"
+    write_csv(path, [], "a", "%d\n", [[1, 2]])
+    assert path.read_bytes() == raw
 
 
 def test_failed_write_keeps_the_earlier_file_and_no_temporary(tmp_path):
@@ -346,6 +356,26 @@ def test_kernels_outputs(tmp_path):
     assert report["manifest"]["empirical_interpretation"] == "squared-terminal-values"
 
 
+def test_kernels_manifest_records_x_range_and_bins(tmp_path):
+    argv = ("kernels", "--paths", "300", "--steps", "50", "--seed", "4")
+    runs = {"sturges": (), "flags": ("--bins", "7", "--x-points", "64", "--x-min", "-3")}
+    manifests = {}
+    for label, flags in runs.items():
+        out = tmp_path / label
+        assert run(*argv, *flags, "--output", str(out)) == 0
+        manifests[label] = json.loads((out / "manifest.json").read_text())
+        for name in manifests[label]["outputs"]:
+            if name.endswith(".csv"):
+                comments = [l for l in (out / name).read_text().splitlines() if l.startswith("#")]
+                assert len(comments) == 3  # artifact version and the two digests only
+    sturges, flags = manifests["sturges"], manifests["flags"]
+    assert (sturges["x_min"], sturges["x_max"], sturges["x_points"]) == (-5.0, 5.0, 1001)
+    assert sturges["histogram_bins"] == {"wiener_terminal": 10, "sqrt_wick_rotated": 10}
+    assert (flags["x_min"], flags["x_max"], flags["x_points"]) == (-3.0, 5.0, 64)
+    assert flags["histogram_bins"] == {"wiener_terminal": 7, "sqrt_wick_rotated": 7}
+    assert flags["config_digest"] == sturges["config_digest"]
+
+
 def test_kernels_rejects_bad_t(tmp_path, capsys):
     assert run("kernels", "--t", "0", "--output", str(tmp_path / "k")) == 1
 
@@ -384,6 +414,19 @@ def test_memory_error_exits_1_naming_the_size(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--paths", "12", "--steps", "16"),
+    ("table1", "--paths", "40", "--steps", "16"),
+    ("kernels", "--paths", "40", "--steps", "16"),
+    ("fpsolve", "--grid-points", "1024", "--fp-dt", "0.002", "--fp-time", "0.1"),
+], ids=lambda argv: argv[0])
+def test_output_directory_holds_exactly_its_manifest_outputs(tmp_path, argv):
+    out = tmp_path / "fresh"
+    assert run(*argv, "--output", str(out)) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert sorted(os.listdir(out)) == sorted(manifest["outputs"])
+
+
 def test_stale_outputs_of_an_earlier_run_removed(tmp_path):
     out = tmp_path / "run"
     assert run("table1", "--paths", "20", "--steps", "16", "--output", str(out)) == 0
@@ -418,3 +461,69 @@ def test_unreadable_old_manifest_deletes_nothing(tmp_path, old_manifest):
         (out / "manifest.json").write_text(old_manifest)
     assert run("simulate", "--paths", "5", "--steps", "8", "--output", str(out)) == 0
     assert (out / "old.csv").exists()
+
+
+# Any JSON value, except positive integers: a valid size beyond the small
+# ones below only makes a run long.
+_ANY_JSON = hs.recursive(
+    hs.none() | hs.booleans() | hs.integers(max_value=0) | hs.floats() | hs.text(max_size=6),
+    lambda inner: hs.lists(inner, max_size=3) | hs.dictionaries(hs.text(max_size=6), inner, max_size=3),
+    max_leaves=5,
+)
+_SMALL_VALID = {
+    "n_paths": hs.integers(1, 20),
+    "n_steps": hs.integers(1, 16),
+    "dt": hs.floats(1e-4, 0.1),
+    "mu0": hs.sampled_from([0.5, 0.7, -1.3]) | hs.floats(-2.0, 2.0).filter(bool),
+    "beta": hs.just(0.0) | hs.floats(-1.0, 1.0),
+    "seed": hs.integers(0, 2**64 - 1),
+    "threads": hs.none() | hs.integers(1, 2),
+    "compress": hs.booleans(),
+    "csv_max_paths": hs.none() | hs.integers(1, 30),
+    # relative names only (and no other string), so every run stays in its
+    # working directory
+    "output_dir": hs.text("abcdefghijklmnopqrstuvwxyz0123456789", min_size=1, max_size=8),
+}
+
+
+@hs.composite
+def _config_documents(draw):
+    if draw(hs.integers(0, 9)) == 0:
+        return draw(_ANY_JSON.filter(lambda doc: not isinstance(doc, dict)))
+    doc = {}
+    for name in [f.name for f in dataclasses.fields(RunConfig)]:
+        # n_paths is always set: the 20000-path default makes long runs
+        if name != "n_paths" and draw(hs.booleans()):
+            continue
+        any_value = _ANY_JSON
+        if name == "output_dir":
+            any_value = _ANY_JSON.filter(lambda v: not isinstance(v, str))
+        # valid four times in five, so some runs succeed
+        doc[name] = draw(_SMALL_VALID[name] if draw(hs.integers(0, 4)) else any_value)
+    if draw(hs.integers(0, 9)) == 0:
+        doc[draw(hs.text(min_size=1, max_size=6))] = draw(_ANY_JSON)
+    return doc
+
+
+@settings(max_examples=50, deadline=None)
+@given(command=hs.sampled_from(["simulate", "table1", "kernels"]), doc=_config_documents())
+def test_any_json_config_exits_0_or_1_and_the_manifest_holds_what_ran(command, doc):
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as work, mock.patch.dict(os.environ) as env:
+        env.pop(ENV_OUTPUT, None)
+        os.chdir(work)
+        try:
+            with open("config.json", "w") as fh:
+                json.dump(doc, fh)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([command, "--config", "config.json"])
+            assert code in (0, 1)
+            assert "Traceback" not in err.getvalue()
+            if code == 0:
+                merged = {**dataclasses.asdict(RunConfig()), **doc}
+                merged["output_dir"] = doc.get("output_dir") or "sqrtwiener-out"
+                with open(os.path.join(merged["output_dir"], "manifest.json")) as fh:
+                    assert json.load(fh)["config"] == merged
+        finally:
+            os.chdir(cwd)

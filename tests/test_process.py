@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -309,3 +310,17 @@ def test_golden_sqrt_digests(case, workers):
     assert [ensemble_digest(e) for e in ensembles] == [
         "sha256:" + d for d in GOLDEN_DIGESTS[case]
     ]
+
+
+def test_integrate_general_temporaries_stay_under_a_quarter_output():
+    # 2000 paths x 500 steps x 2 directions: 16 MB of drawn dw and two 16 MB
+    # outputs; each bracket's temporaries are set by one row block
+    tracemalloc.start()
+    try:
+        ensembles = integrate_general(TimeGrid(DT, 500), 2000, GOLDEN_COEFFS[:2], 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    output = ensembles[0].increments.nbytes
+    drawn = 2000 * 2 * 500 * 8
+    assert peak < drawn + 2 * output + output / 4
