@@ -163,7 +163,9 @@ class RunConfig:
 
     @property
     def workers(self) -> int:
-        return self.threads if self.threads else (os.cpu_count() or 1)
+        """Worker processes for the draws: one unless threads is set (the
+        pool has not beaten serial at the reference protocol)."""
+        return self.threads or 1
 
     def digest(self) -> str:
         """Hash of the fields that determine emitted numbers; scheduling
@@ -413,6 +415,8 @@ def cmd_kernels(config: RunConfig, args: argparse.Namespace) -> int:
         raise ConfigError(f"t must be positive, got {t}")
     if x_points < 8 or not x_max > x_min:
         raise ConfigError("x range must be non-empty with at least 8 points")
+    if bins is not None and bins < 1:
+        raise ConfigError(f"bins must be >= 1, got {bins}")
     out = _prepare_output(config)
 
     x = np.linspace(x_min, x_max, x_points)
@@ -543,7 +547,6 @@ def cmd_fpsolve(config: RunConfig, args: argparse.Namespace) -> int:
         raise ConfigError(f"grid-points must be >= 64, got {grid_points}")
     if not fp_dt > 0 or not fp_time > 0 or not sigma0 > 0:
         raise ConfigError("fp-dt, fp-time and sigma0 must all be positive")
-    out = _prepare_output(config)
     p = kn.fp_params_from_process(config.params)
 
     # domain sized so the packet modulus decays below the pinned boundaries
@@ -555,6 +558,8 @@ def cmd_fpsolve(config: RunConfig, args: argparse.Namespace) -> int:
 
     n_steps = max(1, round(fp_time / fp_dt))
     dt_eff = fp_time / n_steps
+    kn.check_advective_bound(p.drift, dt_eff, init.dx)
+    out = _prepare_output(config)
     # stepwise evolution to trace per-step mass conservation
     masses = [kn.grid_integral(init)]
     profiles = {0.0: init}
@@ -627,7 +632,7 @@ def _build_parser() -> _Parser:
     common.add_argument("--beta", type=float, default=None, help="drift constant")
     common.add_argument("--seed", type=int, default=None, help="master seed (uint64)")
     common.add_argument("--threads", type=int, default=None,
-                        help="worker count (never changes emitted numbers)")
+                        help="worker processes, default 1 (never changes emitted numbers)")
     common.add_argument("--output", dest="output_dir", metavar="OUTPUT", type=str, default=None,
                         help="output directory")
     common.add_argument("--config", type=str, default=None, help="JSON config file")

@@ -33,15 +33,23 @@ the square-root process (mu = (1+i)/2 - beta (1-i)/2, D = -i/4).  Note that
 for complex D the *modulus* center of a packet is not Re(mu) t: the
 imaginary parts of mu and D couple, so run reports carry the measured
 displacement rather than a nominal one.
+
+The Crank-Nicolson matrix depends only on (grid size, dx, dt, mu, D): it is
+factored once per such configuration and the read-only factors are memoized,
+so a caller that steps one call at a time pays one tridiagonal solve per
+step and no refactorization.  check_advective_bound owns the step's
+stability bound, for fp_evolve and for callers that validate a run before
+starting it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError, get_lapack_funcs
 
 from .process import SqrtParams
 
@@ -58,6 +66,7 @@ __all__ = [
     "fp_params_from_process",
     "fp_analytic_solution",
     "gaussian_packet",
+    "check_advective_bound",
     "fp_evolve",
     "grid_integral",
 ]
@@ -238,26 +247,65 @@ def grid_integral(g: GridFunction) -> complex:
 
 _BOUNDARY_TOL = 1e-8
 
+# LAPACK's tridiagonal LU factorization and solve, complex double precision
+_GTTRF, _GTTRS = get_lapack_funcs(("gttrf", "gttrs"), dtype=np.complex128)
+
+
+def check_advective_bound(drift: complex, dt: float, dx: float) -> None:
+    """Refuse a Crank-Nicolson step whose advective number |drift| dt / dx
+    exceeds 1/2."""
+    advective = abs(drift) * dt / dx
+    if advective > 0.5:
+        raise ValueError(
+            f"advective stability bound violated: |drift|*dt/dx = {advective:.4g} > 0.5"
+        )
+
+
+# a few configurations: each entry holds about 68 bytes per grid point
+@lru_cache(maxsize=4)
+def _cn_operator(n: int, dx: float, dt: float, drift: complex, diffusion: complex):
+    """The stencil (lo, di, up) of L on n points and the LU factors of the
+    Crank-Nicolson matrix I - dt/2 L, whose first and last rows are those of
+    the identity (pinned boundaries).  The factors are read-only: every
+    caller with the same (n, dx, dt, drift, diffusion) shares them."""
+    adv = drift / (2 * dx)
+    dif = diffusion / (dx * dx)
+    lo = dif + adv     # psi[j-1] coefficient of L
+    di = -2 * dif      # psi[j]
+    up = dif - adv     # psi[j+1]
+
+    sub = np.full(n - 1, -0.5 * dt * lo, dtype=np.complex128)
+    diag = np.full(n, 1.0 - 0.5 * dt * di, dtype=np.complex128)
+    sup = np.full(n - 1, -0.5 * dt * up, dtype=np.complex128)
+    diag[0] = diag[-1] = 1.0
+    sup[0] = sub[-1] = 0.0
+    *factors, info = _GTTRF(sub, diag, sup, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+    if info > 0:
+        raise LinAlgError("singular Crank-Nicolson matrix")
+    for a in factors:
+        a.setflags(write=False)
+    return (lo, di, up), tuple(factors)
+
 
 def fp_evolve(initial: GridFunction, p: FPParams, dt: float, n_steps: int) -> GridFunction:
     """Advance d psi/dt = -mu d psi/dx + D d^2 psi/dx^2 by n_steps implicit
     time-centered (Crank-Nicolson) steps with boundary values pinned to 0.
 
-    Configuration is validated before stepping: the advective number
-    |mu| dt / dx must not exceed 1/2, and the initial profile must be
-    negligible at the boundary (|edge| <= 1e-8 * max|psi|), otherwise the
-    pinned boundaries are wrong, mass leaks, and the run is refused.
+    Configuration is validated on every call, before stepping: the advective
+    number |mu| dt / dx must not exceed 1/2 (check_advective_bound), and the
+    initial profile must be negligible at the boundary (|edge| <= 1e-8 *
+    max|psi|), otherwise the pinned boundaries are wrong, mass leaks, and
+    the run is refused.  The tridiagonal matrix is factored once (LAPACK
+    gttrf) per (grid size, dx, dt, mu, D) and memoized, so a run of
+    single-step calls factors once; each step is then one gttrs solve.  A
+    profile that leaves the finite range raises ValueError.
     """
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     dx = initial.dx
-    advective = abs(p.drift) * dt / dx
-    if advective > 0.5:
-        raise ValueError(
-            f"advective stability bound violated: |drift|*dt/dx = {advective:.4g} > 0.5"
-        )
+    check_advective_bound(p.drift, dt, dx)
     v = initial.values
     peak = np.abs(v).max()
     edge = max(abs(v[0]), abs(v[-1]))
@@ -267,26 +315,14 @@ def fp_evolve(initial: GridFunction, p: FPParams, dt: float, n_steps: int) -> Gr
             f"{edge:.3g} exceeds {_BOUNDARY_TOL:g} * peak ({peak:.3g})"
         )
 
-    n = initial.n_points
-    adv = p.drift / (2 * dx)
-    dif = p.diffusion / (dx * dx)
-    lo = dif + adv     # psi[j-1] coefficient of L
-    di = -2 * dif      # psi[j]
-    up = dif - adv     # psi[j+1]
-
-    # banded LHS of (I - dt/2 L) psi_next = (I + dt/2 L) psi
-    ab = np.zeros((3, n), dtype=np.complex128)
-    ab[0, 2:] = -0.5 * dt * up
-    ab[1, :] = 1.0 - 0.5 * dt * di
-    ab[2, :-2] = -0.5 * dt * lo
-    ab[1, 0] = ab[1, -1] = 1.0
-    ab[0, 1] = 0.0
-    ab[2, -2] = 0.0
-
-    psi = v.astype(np.complex128, copy=True)
+    # (I - dt/2 L) psi_next = (I + dt/2 L) psi
+    (lo, di, up), factors = _cn_operator(initial.n_points, dx, dt, p.drift, p.diffusion)
+    psi = np.asarray(v, dtype=np.complex128)
     for _ in range(n_steps):
         rhs = psi.copy()
         rhs[1:-1] += 0.5 * dt * (lo * psi[:-2] + di * psi[1:-1] + up * psi[2:])
         rhs[0] = rhs[-1] = 0.0
-        psi = solve_banded((1, 1), ab, rhs)
+        psi, _ = _GTTRS(*factors, rhs, overwrite_b=1)
+    if not np.isfinite(psi).all():
+        raise ValueError("Crank-Nicolson evolution left the finite range")
     return GridFunction(initial.x_min, initial.x_max, psi)

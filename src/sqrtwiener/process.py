@@ -300,8 +300,11 @@ def write_csv(
 
     Each block is a flat sequence of values, row after row, formatted with
     one %-operation of row_template repeated once per row.  The file is
-    gzipped when path ends with '.gz', and replaces path only once it is
-    complete.  Returns the number of rows written.
+    gzipped when path ends with '.gz', deflated at level 1, the fastest:
+    level 9 took most of a large export's time for a file only about 10%
+    smaller, and the decompressed bytes are the same at every level.  The
+    file replaces path only once it is complete.  Returns the number of rows
+    written.
     """
     width = row_template.count("%")
     rows = 0
@@ -310,7 +313,9 @@ def write_csv(
         if str(path).endswith(".gz"):
             # the gzip header names the final file, not the temporary one, and
             # records no write time, so equal rows give equal bytes
-            binary = gzip.GzipFile(os.path.basename(path), "wb", fileobj=raw, mtime=0)
+            binary = gzip.GzipFile(
+                os.path.basename(path), "wb", compresslevel=1, fileobj=raw, mtime=0
+            )
         with io.TextIOWrapper(binary, newline="") as fh:
             fh.writelines(f"# {line}\n" for line in comments)
             fh.write(header + "\n")

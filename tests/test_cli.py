@@ -220,10 +220,24 @@ def test_gzip_header_names_the_final_file(tmp_path):
     raw = path.read_bytes()
     assert raw[3] & 0x08  # FNAME flag
     assert raw[4:8] == bytes(4)  # no write time, so reruns give equal bytes
+    assert raw[8] == 4  # XFL: deflated with the fastest level
     assert raw[10:raw.index(b"\0", 10)] == b"ensemble.csv"
     assert gzip.decompress(raw) == b"a\n1\n2\n"
     write_csv(path, [], "a", "%d\n", [[1, 2]])
     assert path.read_bytes() == raw
+
+
+def test_gzipped_csv_decompresses_to_the_plain_bytes(tmp_path):
+    from sqrtwiener.process import column_blocks, write_csv
+
+    rng = np.random.default_rng(11)
+    columns = [np.arange(3000), rng.standard_normal(3000), rng.standard_normal(3000)]
+    for name in ("t.csv", "t.csv.gz"):
+        write_csv(tmp_path / name, ["c=1"], "i,a,b", "%d,%.17g,%.17g\n",
+                  column_blocks(columns))
+    plain = (tmp_path / "t.csv").read_bytes()
+    assert gzip.decompress((tmp_path / "t.csv.gz").read_bytes()) == plain
+    assert plain.count(b"\n") == 2 + 3000
 
 
 def test_failed_write_keeps_the_earlier_file_and_no_temporary(tmp_path):
@@ -380,6 +394,19 @@ def test_kernels_rejects_bad_t(tmp_path, capsys):
     assert run("kernels", "--t", "0", "--output", str(tmp_path / "k")) == 1
 
 
+@pytest.mark.parametrize("bins", ["0", "-3"])
+def test_kernels_rejects_bad_bins_before_drawing(tmp_path, capsys, monkeypatch, bins):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew an ensemble for a run that must be refused")
+
+    monkeypatch.setattr("sqrtwiener.cli.wiener_ensemble", no_draws)
+    monkeypatch.setattr("sqrtwiener.cli.integrate_sqrt", no_draws)
+    out = tmp_path / "k"
+    assert run("kernels", "--bins", bins, "--output", str(out)) == 1
+    assert "bins" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fpsolve_outputs(tmp_path):
     out = tmp_path / "fp"
     assert run("fpsolve", "--paths", "2", "--steps", "2", "--fp-dt", "0.002",
@@ -397,11 +424,25 @@ def test_fpsolve_stability_violation_names_bound(tmp_path, capsys):
                "--output", str(tmp_path / "fp"))
     assert code == 1
     assert "advective stability" in capsys.readouterr().err
+    assert not (tmp_path / "fp").exists()  # refused before the output is made
 
 
 def test_fpsolve_requires_mu0_half(tmp_path, capsys):
     assert run("fpsolve", "--mu0", "2.0", "--output", str(tmp_path / "fp")) == 1
     assert "mu0" in capsys.readouterr().err
+    assert not (tmp_path / "fp").exists()
+
+
+def test_fpsolve_final_profile_golden_digest(tmp_path):
+    # frozen from the solve_banded solver (band rebuilt every call); the
+    # memoized gttrf/gttrs solver must reproduce it bit for bit
+    out = tmp_path / "fp"
+    assert run("fpsolve", "--grid-points", "1024", "--fp-dt", "0.002", "--fp-time", "0.1",
+               "--beta", "0.5", "--output", str(out)) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["increment_digest"] == (
+        "sha256:5e84cc4f2849ecf056dfedb09cdea5092586f41cc17875a77083246fd1acbb33"
+    )
 
 
 def test_memory_error_exits_1_naming_the_size(tmp_path, capsys):

@@ -13,7 +13,9 @@ Frozen oracle values:
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
+from sqrtwiener import kernels
 from sqrtwiener import (
     FPParams,
     GridFunction,
@@ -268,3 +270,84 @@ def test_evolve_drifted_complex_full_coefficients():
     # complex drift and diffusion couple: the modulus center displaces
     center = x[np.argmax(np.abs(final.values))]
     assert center != 0.0
+
+
+def _fp_evolve_banded(initial, p, dt, n_steps):
+    """Reference Crank-Nicolson solver: the band of I - dt/2 L built and
+    solved with scipy.linalg.solve_banded (LAPACK gtsv, the same pivoting
+    elimination as gttrf/gttrs) on every call."""
+    dx = initial.dx
+    n = initial.n_points
+    adv = p.drift / (2 * dx)
+    dif = p.diffusion / (dx * dx)
+    lo, di, up = dif + adv, -2 * dif, dif - adv
+    ab = np.zeros((3, n), dtype=np.complex128)
+    ab[0, 2:] = -0.5 * dt * up
+    ab[1, :] = 1.0 - 0.5 * dt * di
+    ab[2, :-2] = -0.5 * dt * lo
+    ab[1, 0] = ab[1, -1] = 1.0
+    ab[0, 1] = 0.0
+    ab[2, -2] = 0.0
+    psi = initial.values.astype(np.complex128, copy=True)
+    for _ in range(n_steps):
+        rhs = psi.copy()
+        rhs[1:-1] += 0.5 * dt * (lo * psi[:-2] + di * psi[1:-1] + up * psi[2:])
+        rhs[0] = rhs[-1] = 0.0
+        psi = solve_banded((1, 1), ab, rhs)
+    return GridFunction(initial.x_min, initial.x_max, psi)
+
+
+def _packet(p, n, half=15.0, sigma0=0.3):
+    x = np.linspace(-half, half, n)
+    return GridFunction(-half, half, gaussian_packet(x, 0.0, sigma0, p))
+
+
+def test_evolve_equals_banded_reference_heat_mode():
+    p = FPParams(drift=0.0, diffusion=1.0)
+    x = np.linspace(-12, 12, 4097)
+    init = GridFunction(-12, 12, fp_analytic_solution(x, 0.25, p))
+    got = fp_evolve(init, p, 0.25 / 500, 500).values
+    assert np.array_equal(got, _fp_evolve_banded(init, p, 0.25 / 500, 500).values)
+
+
+@pytest.mark.parametrize("n, steps", [(1025, 125), (2049, 250), (4097, 500)])
+def test_evolve_equals_banded_reference_convergence_levels(n, steps):
+    p = FPParams(drift=0.0, diffusion=-0.25j)
+    init = _packet(p, n)
+    got = fp_evolve(init, p, 0.5 / steps, steps).values
+    assert np.array_equal(got, _fp_evolve_banded(init, p, 0.5 / steps, steps).values)
+
+
+def test_evolve_single_steps_factor_once_and_equal_the_reference():
+    kernels._cn_operator.cache_clear()
+    p = fp_params_from_process(SqrtParams(0.5, 0.5))
+    g = ref = _packet(p, 1024, half=20.0)
+    for _ in range(40):
+        g = fp_evolve(g, p, 0.002, 1)
+        ref = _fp_evolve_banded(ref, p, 0.002, 1)
+        assert np.array_equal(g.values, ref.values)
+    info = kernels._cn_operator.cache_info()
+    assert (info.misses, info.hits) == (1, 39)
+
+
+@pytest.mark.parametrize("change", ["dt", "dx", "drift", "diffusion"])
+def test_evolve_cache_key_holds_every_operator_input(change):
+    # one call that differs in a single input of the matrix, between two
+    # calls that share a factorization, must not reuse it
+    p = fp_params_from_process(SqrtParams(0.5, 0.5))
+    q = {"drift": FPParams(drift=0.3 - 0.2j, diffusion=p.diffusion),
+         "diffusion": FPParams(drift=p.drift, diffusion=-0.3j)}.get(change, p)
+    g = _packet(p, 1024, half=20.0)
+    other = _packet(p, 1024, half=21.0) if change == "dx" else g
+    dt_other = 0.001 if change == "dt" else 0.002
+    for init, params, dt in ((g, p, 0.002), (other, q, dt_other), (g, p, 0.002)):
+        got = fp_evolve(init, params, dt, 3).values
+        assert np.array_equal(got, _fp_evolve_banded(init, params, dt, 3).values)
+
+
+def test_evolve_factors_are_read_only():
+    p = FPParams(drift=0.0, diffusion=1.0)
+    _, factors = kernels._cn_operator(64, 0.1, 0.001, p.drift, p.diffusion)
+    for a in factors:
+        with pytest.raises(ValueError):
+            a[0] = 0

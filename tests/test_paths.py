@@ -232,7 +232,10 @@ def test_wiener_ensemble_worker_count_is_invisible():
     assert one.dw.tobytes() == two.dw.tobytes()
 
 
-def test_worker_count_capped_by_rows_and_cpus(monkeypatch):
+@pytest.fixture
+def pools_started(monkeypatch):
+    """The max_workers of every process pool draw_increments starts, run
+    serially in this process instead."""
     started = []
 
     class RecordingPool:
@@ -249,6 +252,11 @@ def test_worker_count_capped_by_rows_and_cpus(monkeypatch):
             return map(fn, *iterables)
 
     monkeypatch.setattr(paths, "ProcessPoolExecutor", RecordingPool)
+    return started
+
+
+def test_worker_count_capped_by_rows_and_cpus(monkeypatch, pools_started):
+    started = pools_started
     monkeypatch.setattr(paths.os, "cpu_count", lambda: 3)
     grid = TimeGrid(DT, 16)
     serial = wiener_ensemble(grid, 50, master_seed=3, workers=1)
@@ -261,6 +269,18 @@ def test_worker_count_capped_by_rows_and_cpus(monkeypatch):
     monkeypatch.setattr(paths.os, "cpu_count", lambda: None)
     wiener_ensemble(grid, 50, master_seed=3, workers=10_000)
     assert started == [3, 2]
+
+
+def test_cli_draws_serially_unless_threads_given(tmp_path, monkeypatch, pools_started):
+    from sqrtwiener.cli import RunConfig, main
+
+    monkeypatch.setattr(paths.os, "cpu_count", lambda: 4)
+    assert RunConfig().workers == 1
+    argv = ["simulate", "--paths", "50", "--steps", "16"]
+    assert main(argv + ["--output", str(tmp_path / "serial")]) == 0
+    assert pools_started == []
+    assert main(argv + ["--threads", "2", "--output", str(tmp_path / "pool")]) == 0
+    assert pools_started == [2]
 
 
 def test_wiener_ensemble_rejects_empty():
