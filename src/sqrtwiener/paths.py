@@ -14,13 +14,18 @@ Reproducibility contract: every path owns a counter-based Philox generator
 keyed directly by (master_seed, path_index), and every increment consumes
 exactly one uniform draw mapped through the inverse normal CDF.  Streams are
 therefore independent across paths and bit-stable across platforms, path
-order, and worker counts.  draw_increments is the one loop that keys and
-draws these streams; every ensemble is built from its output.
+order, and worker counts.  draw_blocks is the one loop that keys and draws
+these streams: it yields the increments one row block of row_blocks at a
+time, each row filled by its own keyed generator and the whole block then
+mapped to normals in place (_to_normal, which sample_wiener shares).  Every
+ensemble is built from these blocks: draw_increments copies them into one
+array, and process.integrate_sqrt brackets each block as it is drawn, so it
+never holds a whole drawn dw.
 
-Every pass over a whole ensemble (the integrators' brackets in process, the
-cumulative terminal column here, the pooled reductions in stats) walks it in
-the row blocks of row_blocks, so its temporaries are set by one block, not by
-n_paths x n_steps.
+Every pass over a whole ensemble (the draws, the integrators' brackets in
+process, the cumulative terminal column here, the pooled reductions in
+stats) walks it in the row blocks of row_blocks, so its temporaries are set
+by one block, not by n_paths x n_steps.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from typing import Iterator
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -49,6 +55,7 @@ __all__ = [
     "abs_of",
     "phi_from_bernoulli",
     "phi_half",
+    "draw_blocks",
     "draw_increments",
     "wiener_ensemble",
 ]
@@ -116,9 +123,12 @@ _BLOCK_ELEMENTS = 1 << 14
 def row_blocks(rows: np.ndarray) -> list[slice]:
     """Slices of consecutive rows of a 2-D array, about _BLOCK_ELEMENTS
     elements each."""
-    n_rows, n_cols = rows.shape
+    return list(_row_slices(*rows.shape))
+
+
+def _row_slices(n_rows: int, n_cols: int) -> Iterator[slice]:
     step = max(1, _BLOCK_ELEMENTS // max(1, n_cols))
-    return [slice(lo, lo + step) for lo in range(0, n_rows, step)]
+    return (slice(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step))
 
 
 def cumulative_paths(increments: np.ndarray) -> np.ndarray:
@@ -162,9 +172,12 @@ class WienerIncrements:
         return cumulative_paths(self.dw)
 
 
-def _normal_increments(rng: Generator, n_steps: int, dt: float) -> np.ndarray:
-    u = rng.random(n_steps)
-    return np.sqrt(dt) * ndtri(np.maximum(u, _U_FLOOR))
+def _to_normal(u: np.ndarray, dt: float) -> np.ndarray:
+    """Map uniform draws u to N(0, dt) increments in place; returns u."""
+    np.maximum(u, _U_FLOOR, out=u)
+    ndtri(u, out=u)
+    u *= np.sqrt(dt)
+    return u
 
 
 def sample_wiener(grid: TimeGrid, rng: Generator) -> WienerIncrements:
@@ -173,7 +186,7 @@ def sample_wiener(grid: TimeGrid, rng: Generator) -> WienerIncrements:
     One uniform draw per increment (inverse-CDF transform, no rejection
     loop), so the raw stream position after k increments is always k.
     """
-    return WienerIncrements(grid, _normal_increments(rng, grid.n_steps, grid.dt))
+    return WienerIncrements(grid, _to_normal(rng.random(grid.n_steps), grid.dt))
 
 
 def sign_of(w: WienerIncrements | WienerEnsemble) -> np.ndarray:
@@ -230,35 +243,54 @@ class WienerEnsemble:
         return cumulative_paths(self.dw)
 
 
-def _wiener_chunk(dt: float, n_steps: int, master_seed: int, start: int, stop: int) -> np.ndarray:
-    out = np.empty((stop - start, n_steps))
-    for p in range(start, stop):
-        rng = make_rng(SeedSpec(master_seed, p))
-        out[p - start] = _normal_increments(rng, n_steps, dt)
-    return out
+def _draw_block(dt: float, n_steps: int, master_seed: int, rows: slice) -> tuple[slice, np.ndarray]:
+    """rows and the increments of the streams SeedSpec(master_seed, p), p in
+    rows, one row each."""
+    block = np.empty((rows.stop - rows.start, n_steps))
+    for p, row in zip(range(rows.start, rows.stop), block):
+        make_rng(SeedSpec(master_seed, p)).random(out=row)
+    return rows, _to_normal(block, dt)
+
+
+def draw_blocks(
+    grid: TimeGrid, n_rows: int, master_seed: int, workers: int = 1
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """(rows, dw) for each row block of row_blocks over (n_rows, n_steps):
+    dw holds the increments of the streams SeedSpec(master_seed, p) for p in
+    rows, row p - rows.start being stream p.
+
+    This is the one loop that keys a stream per row.  The arguments are
+    checked here, before any block is drawn, and the blocks are made only
+    as they are read.  Workers, at most one per row and per CPU, draw the
+    same blocks in a process pool; because each row owns its own keyed
+    generator, the blocks are bit-identical for any worker count.
+    """
+    if n_rows < 1:
+        raise ValueError(f"n_paths must be >= 1, got {n_rows}")
+    SeedSpec(master_seed)  # range check
+    workers = min(workers or 1, n_rows, os.cpu_count() or 1)
+    blocks = _row_slices(n_rows, grid.n_steps)
+    draw = partial(_draw_block, grid.dt, grid.n_steps, master_seed)
+    if workers <= 1:
+        return map(draw, blocks)
+    return _pooled(draw, blocks, workers)
+
+
+def _pooled(draw, blocks: Iterator[slice], workers: int) -> Iterator[tuple[slice, np.ndarray]]:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(draw, blocks)
 
 
 def draw_increments(
     grid: TimeGrid, n_rows: int, master_seed: int, workers: int = 1
 ) -> np.ndarray:
     """Increments dw of the streams SeedSpec(master_seed, p), p < n_rows, as
-    an (n_rows, n_steps) array; row p is stream p.
-
-    This is the one loop that keys a stream per row.  Workers, at most one
-    per row and per CPU, split the row range into contiguous pieces; because
-    each row owns its own keyed generator, the result is bit-identical for
-    any worker count.
-    """
-    if n_rows < 1:
-        raise ValueError(f"n_paths must be >= 1, got {n_rows}")
-    SeedSpec(master_seed)  # range check
-    workers = min(workers or 1, n_rows, os.cpu_count() or 1)
-    if workers <= 1:
-        return _wiener_chunk(grid.dt, grid.n_steps, master_seed, 0, n_rows)
-    bounds = np.linspace(0, n_rows, workers + 1).astype(int)
-    fn = partial(_wiener_chunk, grid.dt, grid.n_steps, master_seed)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return np.concatenate(list(pool.map(fn, bounds[:-1], bounds[1:])), axis=0)
+    an (n_rows, n_steps) array filled from draw_blocks; row p is stream p."""
+    blocks = draw_blocks(grid, n_rows, master_seed, workers)
+    out = np.empty((n_rows, grid.n_steps))
+    for rows, dw in blocks:
+        out[rows] = dw
+    return out
 
 
 def wiener_ensemble(

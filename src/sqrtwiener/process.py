@@ -25,12 +25,16 @@ factor only contributes a phase weight.  The matrix direction factor is
 tracked as the position of each ensemble in the returned list, never
 multiplied in.
 
-Both integrators draw their increments through paths.draw_increments, the
-one loop that keys a Philox stream per row, and map their bracket, a pure
-function of dw, over its paths.row_blocks through one loop.  Ensembles store
-only these increments; cumulative values are computed on read.  Every CSV
-goes through write_csv, every digest through array_digest, and every output
-file is written as .NAME.PID.tmp (spelled here only) and renamed into place.
+Both integrators draw their increments through paths.draw_blocks, the one
+loop that keys a Philox stream per row, and apply their bracket, a pure
+function of dw, one paths.row_blocks block at a time.  integrate_sqrt
+brackets each block as it is drawn, straight into its output, so no whole
+drawn dw is held beside the complex increments; integrate_general draws its
+n_paths x n_directions rows whole through paths.draw_increments.
+Ensembles store only their increments; cumulative values are computed on
+read.  Every CSV goes through write_csv, every digest through array_digest,
+and every output file is written as .NAME.PID.tmp (spelled here only) and
+renamed into place.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ from .paths import (
     WienerEnsemble,
     cumulative_paths,
     cumulative_terminal,
+    draw_blocks,
     draw_increments,
     phi_half,
     row_blocks,
@@ -193,8 +198,11 @@ def integrate_sqrt(
             "beta != 0 requires mu0 = 1/2 (the drifted step is only derived there)"
         )
     step = sqrt_step_drifted if params.mu0 == 0.5 else sqrt_step_scalar
-    dw = draw_increments(grid, n_paths, master_seed, workers)
-    return _bracket_blocks(grid, dw, lambda w: step(w.dw, grid.dt, params, phi_half(w)))
+    blocks = draw_blocks(grid, n_paths, master_seed, workers)
+    inc = np.empty((n_paths, grid.n_steps), dtype=np.complex128)
+    for rows, dw in blocks:
+        inc[rows] = step(dw, grid.dt, params, phi_half(WienerEnsemble(grid, dw)))
+    return ComplexPathEnsemble(grid, inc)
 
 
 @dataclass(frozen=True)

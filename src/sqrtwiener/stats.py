@@ -35,10 +35,12 @@ the ensemble's path order.
 
 Every reduction over a whole ensemble walks it in the row blocks of
 paths.row_blocks, converting one block at a time to complex128, so its
-temporaries are set by one block, not by the ensemble.  The results are
-bit-identical to whole-array reductions: each element gets the same
-arithmetic, each row's numpy sum and cumsum do not depend on how many rows
-the array holds, and the fsum across rows is exact.
+temporaries are set by one block, not by the ensemble; the batch-means
+stderr gathers each batch into one reused complex128 buffer and reduces it
+there in place.  The results are bit-identical to whole-array reductions:
+each element gets the same arithmetic, each row's numpy sum and cumsum do
+not depend on how many rows the array holds, and the fsum across rows is
+exact.
 """
 
 from __future__ import annotations
@@ -193,14 +195,18 @@ def _canonical_path_order(rows: np.ndarray) -> np.ndarray:
     return np.lexsort((second, first))
 
 
-def _pv_of(flat: np.ndarray) -> complex:
-    d = flat - flat.mean()
-    return complex((d * d).sum()) / (flat.size - 1)
+def _pv_of(flat: np.ndarray, out: np.ndarray | None = None) -> complex:
+    """Pseudo-variance of a 1-D array; the squared deviations go to out,
+    which may be flat itself, or to a new array."""
+    d = np.subtract(flat, flat.mean(), out=out)
+    np.multiply(d, d, out=d)
+    return complex(d.sum()) / (flat.size - 1)
 
 
 def _batch_pv_stderr(rows: np.ndarray) -> complex:
     """Batch-means stderr of the pooled pseudo-variance: whole-path batches
-    in canonical order."""
+    in canonical order, each gathered into one reused complex128 buffer and
+    reduced there in place."""
     m = rows.shape[0]
     n_batches = min(_N_BATCHES, m)
     if n_batches < 2 or rows.size < 2 * n_batches:
@@ -209,10 +215,13 @@ def _batch_pv_stderr(rows: np.ndarray) -> complex:
     bounds = np.linspace(0, m, n_batches + 1).astype(int)
     # complex128 before _pv_of: numpy's complex sum adds in another order
     # than its real sum
-    vals = np.array([
-        _pv_of(np.asarray(rows[order[a:b]], dtype=np.complex128).ravel())
-        for a, b in zip(bounds[:-1], bounds[1:])
-    ])
+    buf = np.empty((np.diff(bounds).max(), rows.shape[1]), dtype=np.complex128)
+    vals = np.empty(n_batches, dtype=np.complex128)
+    for k, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+        batch = buf[:b - a]
+        batch[...] = rows[order[a:b]]
+        flat = batch.ravel()
+        vals[k] = _pv_of(flat, out=flat)
     return complex(
         vals.real.std(ddof=1) / math.sqrt(n_batches),
         vals.imag.std(ddof=1) / math.sqrt(n_batches),

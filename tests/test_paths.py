@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 
 from sqrtwiener import (
     SeedSpec,
+    SqrtParams,
     TimeGrid,
     WienerIncrements,
     abs_of,
+    integrate_sqrt,
     make_rng,
     phi_from_bernoulli,
     phi_half,
@@ -286,3 +288,38 @@ def test_cli_draws_serially_unless_threads_given(tmp_path, monkeypatch, pools_st
 def test_wiener_ensemble_rejects_empty():
     with pytest.raises(ValueError):
         wiener_ensemble(TimeGrid(DT, 4), 0, master_seed=1)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "n_rows, n_steps",
+    [(37, 1000), (3, paths._BLOCK_ELEMENTS + 5), (1, 64)],
+    ids=["partial-last-block", "one-row-blocks", "single-row"],
+)
+def test_draw_blocks_equal_the_per_path_streams(monkeypatch, pools_started, n_rows, n_steps, workers):
+    monkeypatch.setattr(paths.os, "cpu_count", lambda: 2)
+    grid = TimeGrid(DT, n_steps)
+    dw = paths.draw_increments(grid, n_rows, 9, workers=workers)
+    for p in range(n_rows):
+        assert dw[p].tobytes() == sample_wiener(grid, make_rng(SeedSpec(9, p))).dw.tobytes()
+    # 37 rows of 1000 steps: blocks of 16, 16 and 5 rows; above the block
+    # budget every block is one row
+    blocks = [rows for rows, _ in paths.draw_blocks(grid, n_rows, 9, workers=workers)]
+    assert blocks == paths.row_blocks(dw)
+    assert len(blocks) == {37: 3, 3: 3, 1: 1}[n_rows]
+    assert pools_started == ([2, 2] if workers == 2 and n_rows > 1 else [])
+
+
+@pytest.mark.parametrize("n_rows, seed", [(0, 1), (-2, 1), (5, -1), (5, 2**64)])
+def test_draw_arguments_are_checked_before_any_draw(monkeypatch, pools_started, n_rows, seed):
+    monkeypatch.setattr(paths.os, "cpu_count", lambda: 2)
+    keyed = []
+    monkeypatch.setattr(paths, "make_rng", keyed.append)
+    grid = TimeGrid(DT, 16)
+    with pytest.raises(ValueError):
+        paths.draw_blocks(grid, n_rows, seed, workers=2)  # not iterated
+    with pytest.raises(ValueError):
+        paths.draw_increments(grid, n_rows, seed, workers=2)
+    with pytest.raises(ValueError):
+        integrate_sqrt(grid, n_rows, SqrtParams(), seed, workers=2)
+    assert keyed == [] and pools_started == []

@@ -25,7 +25,7 @@ from sqrtwiener import (
     sqrt_step_drifted,
     sqrt_step_scalar,
 )
-from sqrtwiener.paths import cumulative_paths
+from sqrtwiener.paths import cumulative_paths, draw_increments
 from sqrtwiener.process import array_digest
 
 DT = 0.001
@@ -324,3 +324,26 @@ def test_integrate_general_temporaries_stay_under_a_quarter_output():
     output = ensembles[0].increments.nbytes
     drawn = 2000 * 2 * 500 * 8
     assert peak < drawn + 2 * output + output / 4
+
+
+def _traced_peak(fn, *args):
+    """fn(*args) and the peak of the memory it allocated (numpy reports its
+    buffers to tracemalloc)."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_integrate_sqrt_holds_no_whole_drawn_dw():
+    # 4000 paths x 500 steps: 32 MB of complex increments; a whole drawn dw
+    # would add 16 MB beside them, one drawn row block adds 128 kB
+    ens, peak = _traced_peak(integrate_sqrt, TimeGrid(DT, 500), 4000, SqrtParams(), 3)
+    dw_bytes = 4000 * 500 * 8
+    assert peak < ens.increments.nbytes + dw_bytes / 4
+
+
+def test_draw_increments_transforms_in_place():
+    dw, peak = _traced_peak(draw_increments, TimeGrid(DT, 500), 4000, 3)
+    assert peak < dw.nbytes + dw.nbytes / 4

@@ -16,6 +16,7 @@ Frozen oracle values used below (dt = 0.001, mu0 = 1/2, beta = 0):
 """
 
 import hashlib
+import math
 import tracemalloc
 
 import numpy as np
@@ -45,6 +46,7 @@ from sqrtwiener import (
     table1_statistics,
     wiener_ensemble,
 )
+from sqrtwiener import stats
 from sqrtwiener.paths import cumulative_terminal, row_blocks
 from sqrtwiener.stats import TAG_INCREMENT_NORMALIZED, TAG_PAPER_REPORTED, TAG_PATH_TEMPORAL
 
@@ -254,6 +256,48 @@ def test_table1_statistics_golden(case):
     sqrt_ens = integrate_sqrt(grid, 601, params, master_seed=11)
     table = table1_statistics(wiener, sqrt_ens, params)
     assert _table1_hex_digest(table) == TABLE1_GOLDEN[case]
+
+
+def _reference_batch_pv_stderr(rows):
+    """Batch-means stderr as first written: each batch gathered, converted
+    to a new complex128 array and reduced out of place."""
+    m = rows.shape[0]
+    n_batches = min(100, m)
+    if n_batches < 2 or rows.size < 2 * n_batches:
+        return 0j
+
+    def pv(flat):
+        d = flat - flat.mean()
+        return complex((d * d).sum()) / (flat.size - 1)
+
+    order = stats._canonical_path_order(rows)
+    bounds = np.linspace(0, m, n_batches + 1).astype(int)
+    vals = np.array([
+        pv(np.asarray(rows[order[a:b]], dtype=np.complex128).ravel())
+        for a, b in zip(bounds[:-1], bounds[1:])
+    ])
+    return complex(
+        vals.real.std(ddof=1) / math.sqrt(n_batches),
+        vals.imag.std(ddof=1) / math.sqrt(n_batches),
+    )
+
+
+@pytest.mark.parametrize("m", [1234, 601, 57, 3], ids=lambda m: f"{m}-paths")
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_batch_pv_stderr_in_place_is_bit_exact(m, real):
+    # 1234 and 601 paths give batches of unequal size, fewer than 100 paths
+    # give one path per batch
+    grid = TimeGrid(DT, 64)
+    if real:
+        rows = wiener_ensemble(grid, m, master_seed=21).dw
+    else:
+        rows = integrate_sqrt(grid, m, SqrtParams(0.5, 0.7), master_seed=21).increments
+    before = rows.tobytes()
+    got = stats._batch_pv_stderr(rows)
+    want = _reference_batch_pv_stderr(rows)
+    assert got != 0
+    assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+    assert rows.tobytes() == before
 
 
 @pytest.fixture(scope="module")
