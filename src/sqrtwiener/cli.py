@@ -105,6 +105,17 @@ def _finite_real(v) -> bool:
         return False
 
 
+def _finite_float(text: str) -> float:
+    """argparse type of every real flag: refuses inf, nan and non-numbers."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not _finite_real(value):
+        raise argparse.ArgumentTypeError(f"must be a finite real number, got {text!r}")
+    return value
+
+
 # Values each RunConfig annotation accepts (None too, where the annotation is
 # optional): bool is not an integer, and reals must be finite.
 _ACCEPTS = {
@@ -411,24 +422,30 @@ def cmd_table1(config: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_kernels(config: RunConfig, args: argparse.Namespace) -> int:
     t, x_min, x_max, x_points, bins = args.t, args.x_min, args.x_max, args.x_points, args.bins
-    if not t > 0:
-        raise ConfigError(f"t must be positive, got {t}")
     if x_points < 8 or not x_max > x_min:
         raise ConfigError("x range must be non-empty with at least 8 points")
     if bins is not None and bins < 1:
         raise ConfigError(f"bins must be >= 1, got {bins}")
+    # analytic side first, so that a t or x range it refuses makes no output
+    where = f"t = {t}, x_min = {x_min}, x_max = {x_max}"
+    with np.errstate(all="ignore"):
+        x = np.linspace(x_min, x_max, x_points)
+        dx = x[1] - x[0]
+        osc = kn.schrodinger_kernel(x, t)
+        heat = kn.heat_kernel(x, t)
+        wick = kn.wick_rotate_kernel(x, t)
+        rotated_samples = kn.wick_rotate_samples(kn.schrodinger_samples(x, t))
+        max_wick_err = float(np.abs(wick - heat).max())
+        l2_wick_err = float(np.sqrt((np.abs(wick - heat) ** 2).sum() * dx))
+        max_sample_err = float(np.abs(rotated_samples - heat).max())
+    if not all(np.isfinite(a).all() for a in
+               (osc, heat, wick, rotated_samples, max_wick_err, l2_wick_err, max_sample_err)):
+        raise ConfigError(f"{where} give kernel curves out of float range")
+    try:
+        curve_fit_res = st.fit_gaussian_curve(x, rotated_samples)
+    except st.FitError as exc:
+        raise ConfigError(f"{where}: the rotated curve cannot be fitted: {exc}") from exc
     out = _prepare_output(config)
-
-    x = np.linspace(x_min, x_max, x_points)
-    dx = x[1] - x[0]
-    osc = kn.schrodinger_kernel(x, t)
-    heat = kn.heat_kernel(x, t)
-    wick = kn.wick_rotate_kernel(x, t)
-    rotated_samples = kn.wick_rotate_samples(kn.schrodinger_samples(x, t))
-    max_wick_err = float(np.abs(wick - heat).max())
-    l2_wick_err = float(np.sqrt((np.abs(wick - heat) ** 2).sum() * dx))
-    max_sample_err = float(np.abs(rotated_samples - heat).max())
-    curve_fit_res = st.fit_gaussian_curve(x, rotated_samples)
 
     # empirical side: Wiener terminal values, and Wick-rotated squared
     # square-root terminal values (interpretation recorded in the manifest)
@@ -550,9 +567,14 @@ def cmd_fpsolve(config: RunConfig, args: argparse.Namespace) -> int:
     p = kn.fp_params_from_process(config.params)
 
     # domain sized so the packet modulus decays below the pinned boundaries
-    s2 = sigma0**2 + 2 * p.diffusion * fp_time
-    width = float(np.sqrt(abs(s2) ** 2 / s2.real))
-    half = 10.0 * width + abs(p.drift) * fp_time + 5.0 * sigma0
+    try:
+        s2 = sigma0**2 + 2 * p.diffusion * fp_time
+        width = float(np.sqrt(abs(s2) ** 2 / s2.real))
+        half = 10.0 * width + abs(p.drift) * fp_time + 5.0 * sigma0
+    except ArithmeticError:
+        half = math.inf
+    if not math.isfinite(2 * half):
+        raise ConfigError(f"sigma0 = {sigma0} and fp-time = {fp_time} overflow the domain size")
     x = np.linspace(-half, half, grid_points)
     init = kn.GridFunction(-half, half, kn.gaussian_packet(x, 0.0, sigma0, p))
 
@@ -627,9 +649,9 @@ def _build_parser() -> _Parser:
                         help="number of paths")
     common.add_argument("--steps", dest="n_steps", metavar="STEPS", type=int, default=None,
                         help="steps per path")
-    common.add_argument("--dt", type=float, default=None, help="time step")
-    common.add_argument("--mu0", type=float, default=None, help="scale factor")
-    common.add_argument("--beta", type=float, default=None, help="drift constant")
+    common.add_argument("--dt", type=_finite_float, default=None, help="time step")
+    common.add_argument("--mu0", type=_finite_float, default=None, help="scale factor")
+    common.add_argument("--beta", type=_finite_float, default=None, help="drift constant")
     common.add_argument("--seed", type=int, default=None, help="master seed (uint64)")
     common.add_argument("--threads", type=int, default=None,
                         help="worker processes, default 1 (never changes emitted numbers)")
@@ -652,18 +674,18 @@ def _build_parser() -> _Parser:
     p_t.set_defaults(run=cmd_table1)
 
     p_k = sub.add_parser("kernels", parents=[common], help="kernel curves and histograms")
-    p_k.add_argument("--t", type=float, default=1.0, help="kernel time")
-    p_k.add_argument("--x-min", type=float, default=-5.0)
-    p_k.add_argument("--x-max", type=float, default=5.0)
+    p_k.add_argument("--t", type=_finite_float, default=1.0, help="kernel time")
+    p_k.add_argument("--x-min", type=_finite_float, default=-5.0)
+    p_k.add_argument("--x-max", type=_finite_float, default=5.0)
     p_k.add_argument("--x-points", type=int, default=1001)
     p_k.add_argument("--bins", type=int, default=None, help="histogram bins (default Sturges)")
     p_k.set_defaults(run=cmd_kernels)
 
     p_f = sub.add_parser("fpsolve", parents=[common], help="evolve the complex diffusion PDE")
     p_f.add_argument("--grid-points", type=int, default=2048)
-    p_f.add_argument("--fp-dt", type=float, default=0.001)
-    p_f.add_argument("--fp-time", type=float, default=0.5)
-    p_f.add_argument("--sigma0", type=float, default=0.3)
+    p_f.add_argument("--fp-dt", type=_finite_float, default=0.001)
+    p_f.add_argument("--fp-time", type=_finite_float, default=0.5)
+    p_f.add_argument("--sigma0", type=_finite_float, default=0.3)
     p_f.set_defaults(run=cmd_fpsolve)
     return parser
 

@@ -18,9 +18,9 @@ order, and worker counts.  draw_blocks is the one loop that keys and draws
 these streams: it yields the increments one row block of row_blocks at a
 time, each row filled by its own keyed generator and the whole block then
 mapped to normals in place (_to_normal, which sample_wiener shares).  Every
-ensemble is built from these blocks: draw_increments copies them into one
-array, and process.integrate_sqrt brackets each block as it is drawn, so it
-never holds a whole drawn dw.
+ensemble is built from these blocks as they are drawn: wiener_ensemble
+copies them into its increments, and the integrators in process bracket
+them straight into theirs, so no whole drawn dw is held beside an output.
 
 Every pass over a whole ensemble (the draws, the integrators' brackets in
 process, the cumulative terminal column here, the pooled reductions in
@@ -56,7 +56,6 @@ __all__ = [
     "phi_from_bernoulli",
     "phi_half",
     "draw_blocks",
-    "draw_increments",
     "wiener_ensemble",
 ]
 
@@ -120,15 +119,12 @@ class SeedSpec:
 _BLOCK_ELEMENTS = 1 << 14
 
 
-def row_blocks(rows: np.ndarray) -> list[slice]:
-    """Slices of consecutive rows of a 2-D array, about _BLOCK_ELEMENTS
-    elements each."""
-    return list(_row_slices(*rows.shape))
-
-
-def _row_slices(n_rows: int, n_cols: int) -> Iterator[slice]:
+def row_blocks(n_rows: int, n_cols: int) -> Iterator[slice]:
+    """Slices of consecutive rows of an (n_rows, n_cols) array, about
+    _BLOCK_ELEMENTS elements each, made as they are read."""
     step = max(1, _BLOCK_ELEMENTS // max(1, n_cols))
-    return (slice(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step))
+    for lo in range(0, n_rows, step):
+        yield slice(lo, min(lo + step, n_rows))
 
 
 def cumulative_paths(increments: np.ndarray) -> np.ndarray:
@@ -142,7 +138,7 @@ def cumulative_terminal(increments: np.ndarray) -> np.ndarray:
     """cumulative_paths(increments)[:, -1] of a 2-D array, bit for bit,
     with only one row block's running sums alive at a time."""
     out = np.empty(increments.shape[0], increments.dtype)
-    for block in row_blocks(increments):
+    for block in row_blocks(*increments.shape):
         out[block] = cumulative_paths(increments[block])[:, -1]
     return out
 
@@ -269,7 +265,7 @@ def draw_blocks(
         raise ValueError(f"n_paths must be >= 1, got {n_rows}")
     SeedSpec(master_seed)  # range check
     workers = min(workers or 1, n_rows, os.cpu_count() or 1)
-    blocks = _row_slices(n_rows, grid.n_steps)
+    blocks = row_blocks(n_rows, grid.n_steps)
     draw = partial(_draw_block, grid.dt, grid.n_steps, master_seed)
     if workers <= 1:
         return map(draw, blocks)
@@ -281,20 +277,12 @@ def _pooled(draw, blocks: Iterator[slice], workers: int) -> Iterator[tuple[slice
         yield from pool.map(draw, blocks)
 
 
-def draw_increments(
-    grid: TimeGrid, n_rows: int, master_seed: int, workers: int = 1
-) -> np.ndarray:
-    """Increments dw of the streams SeedSpec(master_seed, p), p < n_rows, as
-    an (n_rows, n_steps) array filled from draw_blocks; row p is stream p."""
-    blocks = draw_blocks(grid, n_rows, master_seed, workers)
-    out = np.empty((n_rows, grid.n_steps))
-    for rows, dw in blocks:
-        out[rows] = dw
-    return out
-
-
 def wiener_ensemble(
     grid: TimeGrid, n_paths: int, master_seed: int, workers: int = 1
 ) -> WienerEnsemble:
-    """Generate n_paths independent Wiener paths deterministically."""
-    return WienerEnsemble(grid, draw_increments(grid, n_paths, master_seed, workers))
+    """n_paths independent Wiener paths, row p copied from stream p's block."""
+    blocks = draw_blocks(grid, n_paths, master_seed, workers)
+    dw = np.empty((n_paths, grid.n_steps))
+    for rows, block in blocks:
+        dw[rows] = block
+    return WienerEnsemble(grid, dw)

@@ -26,11 +26,10 @@ tracked as the position of each ensemble in the returned list, never
 multiplied in.
 
 Both integrators draw their increments through paths.draw_blocks, the one
-loop that keys a Philox stream per row, and apply their bracket, a pure
-function of dw, one paths.row_blocks block at a time.  integrate_sqrt
-brackets each block as it is drawn, straight into its output, so no whole
-drawn dw is held beside the complex increments; integrate_general draws its
-n_paths x n_directions rows whole through paths.draw_increments.
+loop that keys a Philox stream per row, and bracket each row block straight
+into their outputs as it is drawn (integrate_general splits its rows by
+direction), so no whole drawn dw is held; the bracket is element-wise, so
+the bits do not depend on the blocks.
 Ensembles store only their increments; cumulative values are computed on
 read.  Every CSV goes through write_csv, every digest through array_digest,
 and every output file is written as .NAME.PID.tmp (spelled here only) and
@@ -56,9 +55,7 @@ from .paths import (
     cumulative_paths,
     cumulative_terminal,
     draw_blocks,
-    draw_increments,
     phi_half,
-    row_blocks,
     sign_of,
 )
 
@@ -170,14 +167,6 @@ class ComplexPathEnsemble:
         return cumulative_terminal(self.increments)
 
 
-def _bracket_blocks(grid: TimeGrid, dw: np.ndarray, bracket) -> ComplexPathEnsemble:
-    """The ensemble of bracket(w) over the row blocks w of dw."""
-    inc = np.empty(dw.shape, dtype=np.complex128)
-    for block in row_blocks(dw):
-        inc[block] = bracket(WienerEnsemble(grid, dw[block]))
-    return ComplexPathEnsemble(grid, inc)
-
-
 def integrate_sqrt(
     grid: TimeGrid,
     n_paths: int,
@@ -247,14 +236,18 @@ def integrate_general(
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     n_dir = len(coeffs)
-    dw = draw_increments(grid, n_paths * n_dir, master_seed, workers)
-    dw = dw.reshape(n_paths, n_dir, grid.n_steps)
-    return [
-        _bracket_blocks(grid, dw[:, a], lambda w, c=c: (
-            c.kappa + c.xi * w.dw * sign_of(w) + c.zeta * grid.dt + 1j * c.eta * _G5
-        ) * phi_half(w))
-        for a, c in enumerate(coeffs)
-    ]
+    blocks = draw_blocks(grid, n_paths * n_dir, master_seed, workers)
+    inc = [np.empty((n_paths, grid.n_steps), dtype=np.complex128) for _ in coeffs]
+    for rows, dw in blocks:
+        for a, c in enumerate(coeffs):
+            # the block's rows r = a (mod n_dir), the streams of paths r // n_dir
+            first = (a - rows.start) % n_dir
+            w = WienerEnsemble(grid, dw[first::n_dir])
+            p = (rows.start + first) // n_dir
+            inc[a][p:p + w.n_paths] = (
+                c.kappa + c.xi * w.dw * sign_of(w) + c.zeta * grid.dt + 1j * c.eta * _G5
+            ) * phi_half(w)
+    return [ComplexPathEnsemble(grid, x) for x in inc]
 
 
 def array_digest(arr: np.ndarray) -> str:

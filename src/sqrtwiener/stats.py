@@ -147,10 +147,16 @@ def _exact_totals(rows: np.ndarray, parts) -> list[float]:
     """Exact total over all rows of each array parts(z) returns, where z
     runs over the row blocks of rows converted to complex128."""
     per_row = []
-    for block in row_blocks(rows):
+    for block in row_blocks(*rows.shape):
         z = np.asarray(rows[block], dtype=np.complex128)
         per_row.append([np.sum(p, axis=1) for p in parts(z)])
     return [math.fsum(np.concatenate(sums)) for sums in zip(*per_row)]
+
+
+def _componentwise_stderr(vals: np.ndarray) -> complex:
+    """Componentwise standard error std(ddof=1) / sqrt(n) of a complex array."""
+    n = vals.size
+    return complex(vals.real.std(ddof=1) / math.sqrt(n), vals.imag.std(ddof=1) / math.sqrt(n))
 
 
 def _exact_mean_std(x: np.ndarray) -> tuple[float, float]:
@@ -222,10 +228,7 @@ def _batch_pv_stderr(rows: np.ndarray) -> complex:
         batch[...] = rows[order[a:b]]
         flat = batch.ravel()
         vals[k] = _pv_of(flat, out=flat)
-    return complex(
-        vals.real.std(ddof=1) / math.sqrt(n_batches),
-        vals.imag.std(ddof=1) / math.sqrt(n_batches),
-    )
+    return _componentwise_stderr(vals)
 
 
 def pooled_pseudo_variance(rows: np.ndarray) -> ComplexStat:
@@ -261,10 +264,7 @@ def complex_mean(samples) -> ComplexStat:
     mean = complex(z.mean())
     if n == 1:
         return ComplexStat(mean, 0j, 1)
-    stderr = complex(
-        z.real.std(ddof=1) / math.sqrt(n), z.imag.std(ddof=1) / math.sqrt(n)
-    )
-    return ComplexStat(mean, stderr, n)
+    return ComplexStat(mean, _componentwise_stderr(z), n)
 
 
 def complex_pseudo_variance(samples) -> ComplexStat:
@@ -284,11 +284,7 @@ def complex_pseudo_variance(samples) -> ComplexStat:
         return ComplexStat(pv, 0j, n)
     bounds = np.linspace(0, n, n_batches + 1).astype(int)
     vals = np.array([_pv_of(z[a:b]) for a, b in zip(bounds[:-1], bounds[1:])])
-    stderr = complex(
-        vals.real.std(ddof=1) / math.sqrt(n_batches),
-        vals.imag.std(ddof=1) / math.sqrt(n_batches),
-    )
-    return ComplexStat(pv, stderr, n)
+    return ComplexStat(pv, _componentwise_stderr(vals), n)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +318,7 @@ def table1_statistics(
 
     # Brownian row: per-path temporal statistics over t_1 .. t_N
     t_means, t_vars = [], []
-    for block in row_blocks(wiener.dw):
+    for block in row_blocks(*wiener.dw.shape):
         w_vals = cumulative_paths(wiener.dw[block])[:, 1:]
         t_means.append(w_vals.mean(axis=1))
         t_vars.append(w_vals.var(axis=1))

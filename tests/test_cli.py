@@ -394,6 +394,42 @@ def test_kernels_rejects_bad_t(tmp_path, capsys):
     assert run("kernels", "--t", "0", "--output", str(tmp_path / "k")) == 1
 
 
+def _refused(tmp_path, capsys, argv, field):
+    """argv exits 1 naming field, with no traceback and no output made."""
+    out = tmp_path / "refused"
+    assert run(*argv, "--output", str(out)) == 1
+    err = capsys.readouterr().err
+    assert field in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, field", [
+    (("--t", "inf"), "--t"),
+    (("--t", "1e308"), "t = 1e+308"),
+    (("--t", "1e-300"), "t = 1e-300"),
+    (("--x-min", "0", "--x-max", "1e-300", "--x-points", "8"), "x_max = 1e-300"),
+    (("--x-min=-1e308", "--x-max=1e308"), "x_min = -1e+308"),
+], ids=["t-inf", "t-huge", "t-tiny", "x-range-tiny", "x-range-huge"])
+def test_kernels_refuses_curves_out_of_float_range(tmp_path, capsys, argv, field):
+    _refused(tmp_path, capsys, ("kernels", "--paths", "40", "--steps", "16") + argv, field)
+
+
+_FLOAT_FLAGS = [("simulate", "dt"), ("simulate", "mu0"), ("simulate", "beta"),
+                ("kernels", "t"), ("kernels", "x-min"), ("kernels", "x-max"),
+                ("fpsolve", "fp-dt"), ("fpsolve", "fp-time"), ("fpsolve", "sigma0")]
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "abc"])
+@pytest.mark.parametrize("command, flag", _FLOAT_FLAGS)
+def test_float_flags_refuse_anything_but_a_finite_real(tmp_path, capsys, command, flag, value):
+    _refused(tmp_path, capsys, (command, f"--{flag}={value}"), f"--{flag}")
+
+
+@pytest.mark.parametrize("argv", [("--sigma0", "1e200"), ("--fp-time", "1e300")], ids=" ".join)
+def test_fpsolve_refuses_a_domain_out_of_float_range(tmp_path, capsys, argv):
+    _refused(tmp_path, capsys, ("fpsolve",) + argv, f"{argv[0][2:]} = {float(argv[1])}")
+
+
 @pytest.mark.parametrize("bins", ["0", "-3"])
 def test_kernels_rejects_bad_bins_before_drawing(tmp_path, capsys, monkeypatch, bins):
     def no_draws(*args, **kwargs):

@@ -107,7 +107,7 @@ def test_cumulative_starts_at_zero():
 def test_cumulative_terminal_is_the_last_cumulative_column():
     # 601 rows x 256 steps: several row blocks, the last one partial
     dw = wiener_ensemble(TimeGrid(DT, 256), 601, master_seed=12).dw
-    assert len(paths.row_blocks(dw)) > 1
+    assert len(list(paths.row_blocks(*dw.shape))) > 1
     np.testing.assert_array_equal(
         paths.cumulative_terminal(dw), paths.cumulative_paths(dw)[:, -1]
     )
@@ -236,7 +236,7 @@ def test_wiener_ensemble_worker_count_is_invisible():
 
 @pytest.fixture
 def pools_started(monkeypatch):
-    """The max_workers of every process pool draw_increments starts, run
+    """The max_workers of every process pool draw_blocks starts, run
     serially in this process instead."""
     started = []
 
@@ -299,13 +299,13 @@ def test_wiener_ensemble_rejects_empty():
 def test_draw_blocks_equal_the_per_path_streams(monkeypatch, pools_started, n_rows, n_steps, workers):
     monkeypatch.setattr(paths.os, "cpu_count", lambda: 2)
     grid = TimeGrid(DT, n_steps)
-    dw = paths.draw_increments(grid, n_rows, 9, workers=workers)
+    dw = wiener_ensemble(grid, n_rows, 9, workers=workers).dw
     for p in range(n_rows):
         assert dw[p].tobytes() == sample_wiener(grid, make_rng(SeedSpec(9, p))).dw.tobytes()
     # 37 rows of 1000 steps: blocks of 16, 16 and 5 rows; above the block
     # budget every block is one row
     blocks = [rows for rows, _ in paths.draw_blocks(grid, n_rows, 9, workers=workers)]
-    assert blocks == paths.row_blocks(dw)
+    assert blocks == list(paths.row_blocks(*dw.shape))
     assert len(blocks) == {37: 3, 3: 3, 1: 1}[n_rows]
     assert pools_started == ([2, 2] if workers == 2 and n_rows > 1 else [])
 
@@ -319,7 +319,7 @@ def test_draw_arguments_are_checked_before_any_draw(monkeypatch, pools_started, 
     with pytest.raises(ValueError):
         paths.draw_blocks(grid, n_rows, seed, workers=2)  # not iterated
     with pytest.raises(ValueError):
-        paths.draw_increments(grid, n_rows, seed, workers=2)
+        wiener_ensemble(grid, n_rows, seed, workers=2)
     with pytest.raises(ValueError):
         integrate_sqrt(grid, n_rows, SqrtParams(), seed, workers=2)
     assert keyed == [] and pools_started == []

@@ -25,7 +25,7 @@ from sqrtwiener import (
     sqrt_step_drifted,
     sqrt_step_scalar,
 )
-from sqrtwiener.paths import cumulative_paths, draw_increments
+from sqrtwiener.paths import cumulative_paths, wiener_ensemble
 from sqrtwiener.process import array_digest
 
 DT = 0.001
@@ -313,17 +313,15 @@ def test_golden_sqrt_digests(case, workers):
 
 
 def test_integrate_general_temporaries_stay_under_a_quarter_output():
-    # 2000 paths x 500 steps x 2 directions: 16 MB of drawn dw and two 16 MB
-    # outputs; each bracket's temporaries are set by one row block
-    tracemalloc.start()
-    try:
-        ensembles = integrate_general(TimeGrid(DT, 500), 2000, GOLDEN_COEFFS[:2], 5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    output = ensembles[0].increments.nbytes
-    drawn = 2000 * 2 * 500 * 8
-    assert peak < drawn + 2 * output + output / 4
+    # 2000 paths x 500 steps: one 16 MB output per direction; each drawn row
+    # block is bracketed as it is drawn, so no whole drawn dw (16 or 24 MB)
+    # is held beside the outputs
+    for n_dir in (2, 3):
+        ensembles, peak = _traced_peak(
+            integrate_general, TimeGrid(DT, 500), 2000, GOLDEN_COEFFS[:n_dir], 5
+        )
+        output = ensembles[0].increments.nbytes
+        assert peak < n_dir * output + output / 4
 
 
 def _traced_peak(fn, *args):
@@ -344,6 +342,6 @@ def test_integrate_sqrt_holds_no_whole_drawn_dw():
     assert peak < ens.increments.nbytes + dw_bytes / 4
 
 
-def test_draw_increments_transforms_in_place():
-    dw, peak = _traced_peak(draw_increments, TimeGrid(DT, 500), 4000, 3)
-    assert peak < dw.nbytes + dw.nbytes / 4
+def test_wiener_ensemble_transforms_in_place():
+    ens, peak = _traced_peak(wiener_ensemble, TimeGrid(DT, 500), 4000, 3)
+    assert peak < ens.dw.nbytes + ens.dw.nbytes / 4
