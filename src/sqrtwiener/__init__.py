@@ -8,18 +8,14 @@ solver for the associated complex advection-diffusion equation.
 """
 
 from .clifford import (
-    AnticommutingPair,
     anticommutator,
     embed_sqrt_increment,
     embedding_scalar,
-    identity2,
     pauli,
-    zero2,
 )
 from .kernels import (
     FPParams,
     GridFunction,
-    KernelSample,
     fp_analytic_solution,
     fp_evolve,
     fp_params_from_process,
@@ -51,7 +47,6 @@ from .process import (
     DirectionCoeffs,
     SqrtParams,
     ensemble_digest,
-    ensemble_summary,
     ensemble_to_csv,
     integrate_general,
     integrate_sqrt,

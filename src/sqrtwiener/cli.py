@@ -16,7 +16,8 @@ reproduce the reference Monte Carlo protocol (20000 paths of 1000 steps at
 dt = 0.001, mu0 = 1/2, beta = 0); a subcommand's own flags and defaults
 live in its argparse subparser only.  Exit codes: 0 success, 1 configuration
 error, library ValueError, arithmetic out of float range or not enough
-memory for n_paths x n_steps, 2 I/O error.  Every file is written to a
+memory (the message names the sizes that failed: n_paths x n_steps,
+x-points or grid-points), 2 I/O error.  Every file is written to a
 temporary file (process.replaced_atomically) and renamed into place.  A run
 writes its manifest last, after deleting the files that the directory's
 previous manifest listed and the new one does not, and the temporary files a
@@ -31,6 +32,7 @@ one.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -70,10 +72,6 @@ DEFAULT_OUTPUT = "sqrtwiener-out"
 # Gzip ensemble CSVs above this many data rows unless --no-compress is given.
 COMPRESS_ROW_THRESHOLD = 1_000_000
 
-# Anticommuting pair used by the matrix embedding; any distinct pair gives
-# the same squared identity, the choice is recorded for reproducibility.
-PAULI_PAIR = (1, 2)
-
 # Reference values of the published summary table for the default protocol,
 # embedded so comparison reports never need network access.
 PUBLISHED_REFERENCE = {
@@ -96,6 +94,16 @@ PUBLISHED_REFERENCE = {
 
 class ConfigError(Exception):
     """Invalid configuration (maps to exit code 1)."""
+
+
+@contextlib.contextmanager
+def _memory_for(sizes: str):
+    """Turn a MemoryError inside the block into a ConfigError naming the
+    sizes the block allocates by."""
+    try:
+        yield
+    except MemoryError as exc:
+        raise ConfigError(f"not enough memory for {sizes}: {exc}") from exc
 
 
 def _finite_real(v) -> bool:
@@ -231,7 +239,6 @@ def make_manifest(command: str, config: RunConfig, increment_digest: str, **extr
         "config_digest": config.digest(),
         "increment_digest": increment_digest,
         "rng": RNG_NAME,
-        "pauli_pair": list(PAULI_PAIR),
         "versions": {
             "python": platform.python_version(),
             "numpy": np.__version__,
@@ -428,7 +435,7 @@ def cmd_kernels(config: RunConfig, args: argparse.Namespace) -> int:
         raise ConfigError(f"bins must be >= 1, got {bins}")
     # analytic side first, so that a t or x range it refuses makes no output
     where = f"t = {t}, x_min = {x_min}, x_max = {x_max}"
-    with np.errstate(all="ignore"):
+    with _memory_for(f"x-points = {x_points}"), np.errstate(all="ignore"):
         x = np.linspace(x_min, x_max, x_points)
         dx = x[1] - x[0]
         osc = kn.schrodinger_kernel(x, t)
@@ -695,13 +702,14 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         config = build_config(args)
+        # fpsolve allocates by its grid alone; kernels names x-points itself
+        if args.command == "fpsolve":
+            sizes = f"grid-points = {args.grid_points}"
+        else:
+            sizes = f"n_paths = {config.n_paths} x n_steps = {config.n_steps}"
         try:
-            return args.run(config, args)
-        except MemoryError as exc:
-            raise ConfigError(
-                f"not enough memory for n_paths = {config.n_paths} x "
-                f"n_steps = {config.n_steps}: {exc}"
-            ) from exc
+            with _memory_for(sizes):
+                return args.run(config, args)
         except ArithmeticError as exc:
             raise ConfigError(
                 f"dt = {config.dt}, mu0 = {config.mu0} and beta = {config.beta} "

@@ -8,25 +8,18 @@ The embedding maps a one-step amplitude a and unit phase phi in {1, i} to
 whose square collapses to (a^2 - mu0^2) * phi^2 * I because the cross terms
 carry {sigma_i, sigma_k} = 0.  With the exact amplitude a = sqrt(mu0^2 + |dw|)
 the square is dw * I: the driving increment is recovered with no shift term,
-unlike the plain scalar square which keeps mu0^2 * sign(dw).
-
-The embedding is written against an abstract anticommuting pair so a
-higher-dimensional (e.g. 4x4 Dirac) backend can be slotted in later; only the
-2x2 Pauli realisation is provided here.
+unlike the plain scalar square which keeps mu0^2 * sign(dw).  Any two
+distinct Pauli matrices anticommute, so every choice of (i, k) gives the same
+square.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "identity2",
-    "zero2",
     "pauli",
     "anticommutator",
-    "AnticommutingPair",
     "embedding_scalar",
     "embed_sqrt_increment",
 ]
@@ -36,14 +29,6 @@ _PAULI = {
     2: np.array([[0, -1j], [1j, 0]], dtype=complex),
     3: np.array([[1, 0], [0, -1]], dtype=complex),
 }
-
-
-def identity2() -> np.ndarray:
-    return np.eye(2, dtype=complex)
-
-
-def zero2() -> np.ndarray:
-    return np.zeros((2, 2), dtype=complex)
 
 
 def pauli(index: int) -> np.ndarray:
@@ -56,38 +41,6 @@ def pauli(index: int) -> np.ndarray:
 def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """{a, b} = a b + b a."""
     return a @ b + b @ a
-
-
-@dataclass(frozen=True)
-class AnticommutingPair:
-    """Two matrices with {left, right} = 0 and left^2 = right^2 = I.
-
-    Any such pair gives the same squared embedding; the repo default is the
-    Pauli pair (1, 2), recorded in run manifests.
-    """
-
-    left: np.ndarray
-    right: np.ndarray
-
-    def __post_init__(self) -> None:
-        n = self.left.shape[0]
-        eye = np.eye(n)
-        if self.left.shape != self.right.shape or self.left.shape != (n, n):
-            raise ValueError("pair members must be square matrices of equal shape")
-        if not np.allclose(anticommutator(self.left, self.right), 0, atol=1e-14):
-            raise ValueError("pair members must anticommute")
-        for m in (self.left, self.right):
-            if not np.allclose(m @ m, eye, atol=1e-14):
-                raise ValueError("pair members must square to the identity")
-
-    @classmethod
-    def from_pauli(cls, i_idx: int = 1, k_idx: int = 2) -> "AnticommutingPair":
-        if i_idx == k_idx:
-            raise ValueError(
-                f"Pauli indices must differ (got {i_idx} twice); equal indices "
-                "do not anticommute and the cross terms would not cancel"
-            )
-        return cls(pauli(i_idx), pauli(k_idx))
 
 
 def embedding_scalar(dw, mu0: float):
@@ -109,23 +62,26 @@ def embed_sqrt_increment(
     phi,
     i_idx: int = 1,
     k_idx: int = 2,
-    pair: AnticommutingPair | None = None,
 ) -> np.ndarray:
     """Embed one step (or a vector of steps) into the matrix algebra.
 
     Returns sigma_i * scalar_part * phi + i * sigma_k * mu0 * phi.  Scalar
     inputs give a (2, 2) matrix; arrays of shape (n,) give (n, 2, 2).
 
-    phi entries must be exactly 1 or i, and mu0 nonzero, otherwise the
-    squared identity has no meaning.
+    phi entries must be exactly 1 or i, mu0 nonzero and the Pauli indices
+    distinct, otherwise the squared identity has no meaning.
     """
     if mu0 == 0:
         raise ValueError("mu0 must be nonzero")
     phi = np.asarray(phi)
     if not np.all((phi == 1) | (phi == 1j)):
         raise ValueError("phi entries must be exactly 1 or i")
-    if pair is None:
-        pair = AnticommutingPair.from_pauli(i_idx, k_idx)
+    if i_idx == k_idx:
+        raise ValueError(
+            f"Pauli indices must differ (got {i_idx} twice); equal indices "
+            "do not anticommute and the cross terms would not cancel"
+        )
+    left, right = pauli(i_idx), pauli(k_idx)
     a = np.asarray(np.asarray(scalar_part) * phi)
     b = np.asarray(mu0 * phi)
-    return a[..., None, None] * pair.left + 1j * b[..., None, None] * pair.right
+    return a[..., None, None] * left + 1j * b[..., None, None] * right

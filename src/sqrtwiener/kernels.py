@@ -18,10 +18,12 @@ rounding) and the exp(-pi/4) factor compensates the branch phase carried
 inside theta'; the identity K == heat kernel is exact.
 
 At sample level the rotation acts on (modulus, phase) pairs as
-rho * e^{i theta} -> rho * e^{-theta}.  Producers must supply *unwrapped*
-phases with the constant -pi/4 branch offset excluded (the offset belongs to
-the rotation factor, not the sample): wrapping into (-pi, pi] would corrupt
-the map, since theta enters an exponential, not a phase.
+rho * e^{i theta} -> rho * e^{-theta}.  Samples cross module boundaries as a
+pair of float arrays (rho, theta), and the rotation refuses any negative
+rho.  Producers must supply *unwrapped* phases with the constant -pi/4
+branch offset excluded (the offset belongs to the rotation factor, not the
+sample): wrapping into (-pi, pi] would corrupt the map, since theta enters
+an exponential, not a phase.
 
 The evolution equation solved by fp_evolve is
 
@@ -46,15 +48,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
-
 import numpy as np
 from scipy.linalg import LinAlgError, get_lapack_funcs
 
 from .process import SqrtParams
 
 __all__ = [
-    "KernelSample",
     "FPParams",
     "GridFunction",
     "schrodinger_kernel",
@@ -107,31 +106,21 @@ def wick_rotate_kernel(x, t: float):
     return out.real if out.ndim else float(out.real)
 
 
-@dataclass(frozen=True)
-class KernelSample:
-    """A complex sample in polar form: modulus rho >= 0 and *unwrapped*
-    phase theta (no modular reduction; the Wick map is not periodic)."""
-
-    rho: float
-    theta: float
-
-    def __post_init__(self) -> None:
-        if self.rho < 0:
-            raise ValueError(f"rho must be non-negative, got {self.rho}")
-
-
-def wick_rotate_samples(samples: Sequence[KernelSample]) -> np.ndarray:
-    """Sample-level Wick rotation rho e^{i theta} -> rho e^{-theta}.
+def wick_rotate_samples(samples: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Sample-level Wick rotation rho e^{i theta} -> rho e^{-theta} of a
+    (rho, theta) pair of arrays; refuses any negative modulus.
 
     Outputs are real and non-negative by construction.
     """
-    rho = np.array([s.rho for s in samples])
-    theta = np.array([s.theta for s in samples])
+    rho, theta = samples
+    if (rho < 0).any():
+        raise ValueError(f"rho must be non-negative, got {rho.min()}")
     return rho * np.exp(-theta)
 
 
-def schrodinger_samples(x, t: float) -> list[KernelSample]:
-    """Polar samples of the oscillatory kernel on a grid of positions.
+def schrodinger_samples(x, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Polar samples (rho, theta) of the oscillatory kernel on a grid of
+    positions.
 
     The recorded phase is the bare quadratic phase x^2/(4t), unwrapped by
     construction; the constant -pi/4 branch offset is excluded (it is
@@ -140,12 +129,11 @@ def schrodinger_samples(x, t: float) -> list[KernelSample]:
     """
     _check_t(t)
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    rho = (4 * np.pi * t) ** -0.5
-    return [KernelSample(rho, float(xi * xi / (4 * t))) for xi in x]
+    return np.full(x.shape, (4 * np.pi * t) ** -0.5), x * x / (4 * t)
 
 
-def square_samples(values: np.ndarray) -> list[KernelSample]:
-    """Polar samples of the squared process values psi = z^2.
+def square_samples(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Polar samples (rho, theta) of the squared process values psi = z^2.
 
     rho = |z|^2 and theta = 2*arg(z), which is unwrapped as long as each z
     stays in one half-plane (square-root paths accumulate in the first
@@ -153,9 +141,7 @@ def square_samples(values: np.ndarray) -> list[KernelSample]:
     [0, pi]).
     """
     z = np.atleast_1d(np.asarray(values, dtype=np.complex128))
-    rho = np.abs(z) ** 2
-    theta = 2.0 * np.angle(z)
-    return [KernelSample(float(r), float(th)) for r, th in zip(rho, theta)]
+    return np.abs(z) ** 2, 2.0 * np.angle(z)
 
 
 @dataclass(frozen=True)

@@ -163,10 +163,6 @@ class WienerIncrements:
                 f"dw has shape {self.dw.shape}, expected ({self.grid.n_steps},)"
             )
 
-    def cumulative(self) -> np.ndarray:
-        """Sampled path W with W(t0) = 0, length n_steps + 1."""
-        return cumulative_paths(self.dw)
-
 
 def _to_normal(u: np.ndarray, dt: float) -> np.ndarray:
     """Map uniform draws u to N(0, dt) increments in place; returns u."""

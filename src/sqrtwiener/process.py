@@ -74,7 +74,6 @@ __all__ = [
     "write_csv",
     "column_blocks",
     "ensemble_to_csv",
-    "ensemble_summary",
 ]
 
 
@@ -365,17 +364,3 @@ def ensemble_to_csv(
         path, header_lines, "path_index,step_index,re,im", "%d,%d,%.17g,%.17g\n", blocks
     )
 
-
-def ensemble_summary(
-    ensemble: ComplexPathEnsemble, params: SqrtParams, master_seed: int
-) -> dict:
-    """Compact JSON-ready summary with the regression digest."""
-    return {
-        "n_paths": ensemble.n_paths,
-        "n_steps": ensemble.grid.n_steps,
-        "dt": ensemble.grid.dt,
-        "mu0": params.mu0,
-        "beta": params.beta,
-        "master_seed": master_seed,
-        "increment_digest": ensemble_digest(ensemble),
-    }

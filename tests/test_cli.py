@@ -3,6 +3,7 @@
 import contextlib
 import dataclasses
 import gzip
+import hashlib
 import io
 import json
 import os
@@ -370,6 +371,25 @@ def test_kernels_outputs(tmp_path):
     assert report["manifest"]["empirical_interpretation"] == "squared-terminal-values"
 
 
+# SHA-256 of the kernels output files at --paths 400 --steps 100 (comment
+# lines included), recorded when each sample was still a per-sample object;
+# the (rho, theta) array pair must reproduce every byte.
+KERNELS_400_SHA256 = {
+    "kernel_curves.csv": "40145ee5751bde77ad404e82393c2569df927a8488870f56d027a2480fcb832c",
+    "hist_wiener_terminal.csv": "9447e4d947e56accf0794b49229c5c2c2bdc3a8c1552583d7210dbfb65bea3df",
+    "hist_sqrt_wick.csv": "a09975a88de690481421650fa60f1de2116b1af37f8bb89a1d71b8f5265ba3da",
+}
+
+
+def test_kernels_output_bodies_are_pinned(tmp_path):
+    out = tmp_path / "k"
+    assert run("kernels", "--paths", "400", "--steps", "100", "--output", str(out)) == 0
+    for name, sha in KERNELS_400_SHA256.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == sha, name
+    report = json.loads((out / "kernels_report.json").read_text())
+    assert report["max_abs_rotated_samples_minus_heat"] == 0.0
+
+
 def test_kernels_manifest_records_x_range_and_bins(tmp_path):
     argv = ("kernels", "--paths", "300", "--steps", "50", "--seed", "4")
     runs = {"sturges": (), "flags": ("--bins", "7", "--x-points", "64", "--x-min", "-3")}
@@ -489,6 +509,21 @@ def test_memory_error_exits_1_naming_the_size(tmp_path, capsys):
     assert code == 1
     assert "n_paths = 1000000000000" in err and "n_steps = 1000" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("kernels", "--x-points", "1000000000000", "--paths", "10", "--steps", "10"), "x-points"),
+    (("fpsolve", "--grid-points", "1000000000000"), "grid-points"),
+], ids=lambda v: v[0] if isinstance(v, tuple) else None)
+def test_memory_error_names_the_grid_flag(tmp_path, capsys, argv, flag):
+    # a 7.28 TiB linspace: the message names the grid flag, not the ensemble
+    out = tmp_path / "huge"
+    code = run(*argv, "--output", str(out))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"not enough memory for {flag} = 1000000000000" in err
+    assert "n_paths" not in err and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

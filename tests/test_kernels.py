@@ -19,7 +19,6 @@ from sqrtwiener import kernels
 from sqrtwiener import (
     FPParams,
     GridFunction,
-    KernelSample,
     SqrtParams,
     fp_analytic_solution,
     fp_evolve,
@@ -101,12 +100,12 @@ def test_wick_imaginary_residual_vanishes():
 
 
 def test_sample_rotation_basics():
-    assert wick_rotate_samples([KernelSample(1.0, 0.0)])[0] == 1.0
-    out = wick_rotate_samples([KernelSample(2.0, 1.0), KernelSample(0.5, -1.0)])
+    assert wick_rotate_samples((np.array([1.0]), np.array([0.0])))[0] == 1.0
+    out = wick_rotate_samples((np.array([2.0, 0.5]), np.array([1.0, -1.0])))
     np.testing.assert_allclose(out, [2 * np.exp(-1), 0.5 * np.exp(1)], rtol=1e-15)
     assert np.all(out > 0)
-    with pytest.raises(ValueError):
-        KernelSample(-0.1, 0.0)
+    with pytest.raises(ValueError, match="rho must be non-negative"):
+        wick_rotate_samples((np.array([1.0, -0.1]), np.array([0.0, 0.0])))
 
 
 def test_sample_and_kernel_rotations_commute():
@@ -122,18 +121,19 @@ def test_sample_and_kernel_rotations_commute():
 def test_sample_phases_are_unwrapped():
     # far enough out the quadratic phase exceeds 2 pi; the producer must not
     # wrap it, otherwise the rotation is corrupted
-    s = schrodinger_samples(np.array([8.0]), 1.0)[0]
-    assert s.theta == pytest.approx(16.0)
-    assert s.theta > 2 * np.pi
+    rho, theta = schrodinger_samples(np.array([8.0]), 1.0)
+    assert rho[0] == pytest.approx((4 * np.pi) ** -0.5)
+    assert theta[0] == pytest.approx(16.0)
+    assert theta[0] > 2 * np.pi
 
 
 def test_square_samples_quadrant():
     z = np.array([1 + 1j, 2 + 0j, 3j])
-    samples = square_samples(z)
-    assert samples[0].rho == pytest.approx(2.0)
-    assert samples[0].theta == pytest.approx(np.pi / 2)
-    assert samples[1].theta == 0.0
-    assert samples[2].theta == pytest.approx(np.pi)
+    rho, theta = square_samples(z)
+    assert rho[0] == pytest.approx(2.0)
+    assert theta[0] == pytest.approx(np.pi / 2)
+    assert theta[1] == 0.0
+    assert theta[2] == pytest.approx(np.pi)
 
 
 def test_fp_params_from_process():

@@ -1,8 +1,12 @@
-"""Package surface: every exported and imported name resolves."""
+"""Package surface: every exported and imported name resolves, including
+the names the benchmark's traced replay patches and calls."""
 
 import ast
 import importlib
+import inspect
 import pkgutil
+import types
+from pathlib import Path
 
 import pytest
 
@@ -30,3 +34,60 @@ def test_every_exported_and_imported_name_resolves(name):
                 assert hasattr(source, alias.name), (
                     f"{name} imports {alias.name!r}, which {source.__name__} lacks"
                 )
+
+
+REPLAY = Path(__file__).resolve().parents[1] / "perfbench" / "replay.py"
+
+
+def _assigned(tree: ast.Module, name: str) -> ast.expr:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == name for t in node.targets
+        ):
+            return node.value
+    raise AssertionError(f"{REPLAY.name} no longer assigns {name}")
+
+
+def test_benchmark_replay_names_resolve():
+    # read as source, not imported: the replay patches (module, name) pairs
+    # of the package, so a renamed layer must fail here rather than only in
+    # a traced benchmark run
+    tree = ast.parse(REPLAY.read_text())
+    modules = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("sqrtwiener"):
+            source = importlib.import_module(node.module)
+            for alias in node.names:
+                assert hasattr(source, alias.name), f"{node.module} lacks {alias.name!r}"
+                if isinstance(getattr(source, alias.name), types.ModuleType):
+                    modules[alias.asname or alias.name] = getattr(source, alias.name)
+
+    layers = _assigned(tree, "CLI_LAYERS").elts
+    assert layers
+    for entry in layers:
+        module, attr = entry.elts[0].id, entry.elts[1].value
+        assert hasattr(modules[module], attr), f"CLI_LAYERS names missing {module}.{attr}"
+
+    # every module.attr the replay reads, the FUNCTIONS targets among them
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in modules:
+                assert hasattr(modules[node.value.id], node.attr), (
+                    f"{REPLAY.name} reads missing {node.value.id}.{node.attr}"
+                )
+
+    # the replay calls each FUNCTIONS target again with the keywords it adds
+    # to the traced arguments (dict(args, workers=1))
+    extra = {
+        kw.arg
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "dict"
+        for kw in node.keywords
+    }
+    functions = _assigned(tree, "FUNCTIONS").values
+    assert functions
+    for target in functions:
+        fn = getattr(modules[target.value.id], target.attr)
+        assert extra <= set(inspect.signature(fn).parameters), (
+            f"{target.value.id}.{target.attr} does not accept {sorted(extra)}"
+        )

@@ -98,7 +98,7 @@ def test_wiener_increments_shape_checked():
 def test_cumulative_starts_at_zero():
     grid = TimeGrid(DT, 100)
     w = sample_wiener(grid, make_rng(SeedSpec(5, 0)))
-    path = w.cumulative()
+    path = paths.cumulative_paths(w.dw)
     assert path[0] == 0.0
     assert len(path) == 101
     np.testing.assert_allclose(np.diff(path), w.dw, atol=1e-18)

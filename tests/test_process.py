@@ -15,7 +15,6 @@ from sqrtwiener import (
     SqrtParams,
     TimeGrid,
     ensemble_digest,
-    ensemble_summary,
     ensemble_to_csv,
     integrate_general,
     integrate_sqrt,
@@ -272,10 +271,6 @@ def test_csv_roundtrip_and_summary(tmp_path):
 
     with gzip.open(gz, "rt") as fh:
         assert sum(1 for _ in fh) == 1 + 16  # header + 2 paths * 8 steps
-
-    summary = ensemble_summary(ens, SqrtParams(), 14)
-    assert summary["increment_digest"] == ensemble_digest(ens)
-    assert summary["n_paths"] == 3 and summary["n_steps"] == 8
 
 
 # Digests of the square-root ensembles, computed before the per-path loops
