@@ -3,8 +3,9 @@
 Subcommands
 -----------
 simulate   integrate the square-root ensemble, write increments CSV + manifest
-table1     Wiener + square-root ensembles, tagged summary statistics CSV and
-           a comparison report against the published reference values
+table1     Wiener + square-root ensembles (each reduced and dropped before
+           the next is drawn), tagged summary statistics CSV and a
+           comparison report against the published reference values
 kernels    analytic heat / oscillatory / Wick-rotated curves, plus empirical
            Wick-rotated histograms with Gaussian fits
 fpsolve    Crank-Nicolson evolution of the complex advection-diffusion
@@ -18,11 +19,12 @@ live in its argparse subparser only.  Exit codes: 0 success, 1 configuration
 error, library ValueError, arithmetic out of float range or not enough
 memory (the message names the sizes that failed: n_paths x n_steps,
 x-points or grid-points), 2 I/O error.  Every file is written to a
-temporary file (process.replaced_atomically) and renamed into place.  A run
-writes its manifest last, after deleting the files that the directory's
-previous manifest listed and the new one does not, and the temporary files a
-killed run left for any name either manifest lists; the manifest records the
-library versions and this process's peak RSS.
+temporary file (process.replaced_atomically) and renamed into place, and a
+run makes its output directory only after its draws or its evolution
+succeeded.  A run writes its manifest last, after deleting the files that
+the directory's previous manifest listed and the new one does not, and the
+temporary files a killed run left for any name either manifest lists; the
+manifest records the library versions and this process's peak RSS.
 
 The only environment variable honored is SQRTWIENER_OUTPUT, an optional
 default output directory used when neither --output nor the config file set
@@ -342,10 +344,10 @@ def ensemble_csv_name(rows: int, compress: bool) -> str:
 
 
 def cmd_simulate(config: RunConfig, args: argparse.Namespace) -> int:
-    out = _prepare_output(config)
     ens = integrate_sqrt(config.grid, config.n_paths, config.params, config.seed, config.workers)
     digest = ensemble_digest(ens)
     manifest = make_manifest("simulate", config, digest)
+    out = _prepare_output(config)
 
     rows = config.n_paths * config.n_steps
     if config.csv_max_paths is not None:
@@ -364,16 +366,18 @@ def cmd_simulate(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_table1(config: RunConfig, args: argparse.Namespace) -> int:
-    out = _prepare_output(config)
-    wiener = wiener_ensemble(config.grid, config.n_paths, config.seed, config.workers)
-    sqrt_ens = integrate_sqrt(config.grid, config.n_paths, config.params, config.seed, config.workers)
-    table = st.table1_statistics(wiener, sqrt_ens, config.params)
+    # each ensemble is reduced, digested and dropped before the next is drawn
+    ens = wiener_ensemble(config.grid, config.n_paths, config.seed, config.workers)
+    brownian, wiener_digest = st.table1_statistics(ens, config.params), ensemble_digest(ens)
+    del ens
+    ens = integrate_sqrt(config.grid, config.n_paths, config.params, config.seed, config.workers)
+    table = st.Table1Stats(brownian, st.table1_statistics(ens, config.params))
+    digest = ensemble_digest(ens)
+    del ens
 
-    digest = ensemble_digest(sqrt_ens)
-    manifest = make_manifest(
-        "table1", config, digest, wiener_digest=ensemble_digest(wiener)
-    )
+    manifest = make_manifest("table1", config, digest, wiener_digest=wiener_digest)
     comments = manifest_header_lines(manifest)
+    out = _prepare_output(config)
 
     csv_path = out / "table1.csv"
     rows = [_stat_row("brownian", s) for s in table.brownian]
@@ -452,13 +456,13 @@ def cmd_kernels(config: RunConfig, args: argparse.Namespace) -> int:
         curve_fit_res = st.fit_gaussian_curve(x, rotated_samples)
     except st.FitError as exc:
         raise ConfigError(f"{where}: the rotated curve cannot be fitted: {exc}") from exc
-    out = _prepare_output(config)
 
     # empirical side: Wiener terminal values, and Wick-rotated squared
-    # square-root terminal values (interpretation recorded in the manifest)
-    wiener = wiener_ensemble(config.grid, config.n_paths, config.seed, config.workers)
+    # square-root terminal values (interpretation recorded in the manifest);
+    # the Wiener ensemble is dropped before the square-root one is drawn
+    w_term = cumulative_terminal(
+        wiener_ensemble(config.grid, config.n_paths, config.seed, config.workers).dw)
     sqrt_ens = integrate_sqrt(config.grid, config.n_paths, config.params, config.seed, config.workers)
-    w_term = cumulative_terminal(wiener.dw)
     wick_emp = kn.wick_rotate_samples(kn.square_samples(sqrt_ens.terminal_values))
 
     hist_w = st.build_histogram(w_term, bins, normalization="density")
@@ -488,6 +492,7 @@ def cmd_kernels(config: RunConfig, args: argparse.Namespace) -> int:
                         "sqrt_wick_rotated": len(hist_s.counts)},
     )
     comments = manifest_header_lines(manifest)
+    out = _prepare_output(config)
 
     write_csv(
         out / "kernel_curves.csv", comments, "x,re,im,modulus,heat,wick", "%.17g," * 5 + "%.17g\n",
@@ -588,7 +593,6 @@ def cmd_fpsolve(config: RunConfig, args: argparse.Namespace) -> int:
     n_steps = max(1, round(fp_time / fp_dt))
     dt_eff = fp_time / n_steps
     kn.check_advective_bound(p.drift, dt_eff, init.dx)
-    out = _prepare_output(config)
     # stepwise evolution to trace per-step mass conservation
     masses = [kn.grid_integral(init)]
     profiles = {0.0: init}
@@ -609,6 +613,7 @@ def cmd_fpsolve(config: RunConfig, args: argparse.Namespace) -> int:
                              drift=[p.drift.real, p.drift.imag],
                              diffusion=[p.diffusion.real, p.diffusion.imag])
     comments = manifest_header_lines(manifest)
+    out = _prepare_output(config)
     names = []
     for t_prof, g in sorted(profiles.items()):
         name = f"fp_profile_t{t_prof:.4f}.csv"

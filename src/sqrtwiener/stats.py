@@ -50,7 +50,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import OptimizeWarning, curve_fit
 
 from .paths import WienerEnsemble, cumulative_paths, row_blocks
 from .process import ComplexPathEnsemble, SqrtParams
@@ -122,7 +121,8 @@ class SummaryStats:
 
 @dataclass(frozen=True)
 class Table1Stats:
-    """Tagged summaries for the Brownian and square-root rows."""
+    """Tagged summaries for the Brownian and square-root rows, each row as
+    table1_statistics returns it for its own ensemble."""
 
     brownian: tuple[SummaryStats, ...]
     square_root: tuple[SummaryStats, ...]
@@ -292,31 +292,39 @@ def complex_pseudo_variance(samples) -> ComplexStat:
 # ---------------------------------------------------------------------------
 
 def table1_statistics(
-    wiener: WienerEnsemble,
-    sqrt_ens: ComplexPathEnsemble,
-    params: SqrtParams,
-) -> Table1Stats:
-    """Tagged summary statistics reproducing the reference table.
+    ensemble: WienerEnsemble | ComplexPathEnsemble, params: SqrtParams
+) -> tuple[SummaryStats, ...]:
+    """Tagged summaries of one row of the reference table: the Brownian row
+    of a WienerEnsemble, the square-root row of a ComplexPathEnsemble.
+    Each row reads only its own ensemble, so a caller can reduce one
+    ensemble and drop it before drawing the next.
 
-    Brownian row ("path-temporal", duplicated under "paper-reported"): for
-    each path, the time average and time variance of W(t) over the positive
-    grid points, ensemble-averaged; diffusion sqrt(variance)/2.  The
-    increment view carries D = var(dW)/(2 dt).
+    Brownian row ("path-temporal", duplicated under "paper-reported",
+    then "increment-normalized"): for each path, the time average and time
+    variance of W(t) over the positive grid points, ensemble-averaged;
+    diffusion sqrt(variance)/2.  The increment view carries
+    D = var(dW)/(2 dt).  params is not read.
 
-    Square-root row: pooled statistics of the complex increments, divided by
-    mu0 (mean) and mu0^2 (pseudo-variance).  Under "paper-reported" the
-    variance column carries half the normalized pseudo-variance, matching the
-    published table where the variance and diffusion entries coincide.
+    Square-root row ("paper-reported", then "increment-normalized"): pooled
+    statistics of the complex increments, divided by mu0 (mean) and mu0^2
+    (pseudo-variance).  Under "paper-reported" the variance column carries
+    half the normalized pseudo-variance, matching the published table where
+    the variance and diffusion entries coincide.
     """
-    if wiener.n_paths != sqrt_ens.n_paths or wiener.grid.n_steps != sqrt_ens.grid.n_steps:
-        raise ValueError(
-            f"ensemble shapes differ: wiener {wiener.dw.shape} vs "
-            f"square-root {sqrt_ens.increments.shape}"
-        )
+    if isinstance(ensemble, WienerEnsemble):
+        return _brownian_row(ensemble)
+    if isinstance(ensemble, ComplexPathEnsemble):
+        return _square_root_row(ensemble, params)
+    raise TypeError(
+        f"expected a WienerEnsemble or ComplexPathEnsemble, got {type(ensemble).__name__}"
+    )
+
+
+def _brownian_row(wiener: WienerEnsemble) -> tuple[SummaryStats, ...]:
     m = wiener.n_paths
     dt = wiener.grid.dt
 
-    # Brownian row: per-path temporal statistics over t_1 .. t_N
+    # per-path temporal statistics over t_1 .. t_N
     t_means, t_vars = [], []
     for block in row_blocks(*wiener.dw.shape):
         w_vals = cumulative_paths(wiener.dw[block])[:, 1:]
@@ -342,21 +350,18 @@ def table1_statistics(
         ),
         estimator_tag=TAG_INCREMENT_NORMALIZED,
     )
+    return temporal, paper_brownian, inc_brownian
 
-    # square-root row: pooled increment statistics, mu0-normalized
+
+def _square_root_row(sqrt_ens: ComplexPathEnsemble, params: SqrtParams) -> tuple[SummaryStats, ...]:
     mu0 = params.mu0
     z_mean = pooled_complex_mean(sqrt_ens.increments)
     z_pv = pooled_pseudo_variance(sqrt_ens.increments)
     mean_n = ComplexStat(z_mean.value / mu0, _abs_c(z_mean.stderr / mu0), z_mean.n)
     pv_n = ComplexStat(z_pv.value / mu0**2, _abs_c(z_pv.stderr / mu0**2), z_pv.n)
     half = ComplexStat(pv_n.value / 2, _abs_c(pv_n.stderr / 2), pv_n.n)
-    paper_sqrt = SummaryStats(mean_n, half, half, TAG_PAPER_REPORTED)
-    inc_sqrt = SummaryStats(mean_n, pv_n, half, TAG_INCREMENT_NORMALIZED)
-
-    return Table1Stats(
-        brownian=(temporal, paper_brownian, inc_brownian),
-        square_root=(paper_sqrt, inc_sqrt),
-    )
+    return (SummaryStats(mean_n, half, half, TAG_PAPER_REPORTED),
+            SummaryStats(mean_n, pv_n, half, TAG_INCREMENT_NORMALIZED))
 
 
 def _abs_c(z: complex) -> complex:
@@ -451,6 +456,10 @@ def fit_gaussian_curve(x, y) -> GaussianFit:
     c0 = float((x * w).sum() / tot) if tot > 0 else float(x.mean())
     s0 = float(np.sqrt(((x - c0) ** 2 * w).sum() / tot)) if tot > 0 else float(x.std())
     s0 = max(s0, float(np.diff(x).min()) / 2 if x.size > 1 else 1.0)
+    # imported here, its only use: importing scipy.optimize costs every CLI
+    # process about 17 MiB, and only kernels fits anything
+    from scipy.optimize import OptimizeWarning, curve_fit
+
     try:
         with warnings.catch_warnings():
             # the covariance is discarded; exact data makes it inestimable

@@ -107,8 +107,10 @@ def test_criterion_3_reference_table_reproduction():
     with _Timer("3 (reference table at the 20000 x 1000 protocol)", 60.0):
         params = sw.SqrtParams(mu0=0.5, beta=0.0)
         wiener = sw.wiener_ensemble(PROTOCOL_GRID, 20000, master_seed=2026)
+        brownian = sw.table1_statistics(wiener, params)
+        del wiener
         sqrt_ens = sw.integrate_sqrt(PROTOCOL_GRID, 20000, params, master_seed=2026)
-        table = sw.table1_statistics(wiener, sqrt_ens, params)
+        table = sw.Table1Stats(brownian, sw.table1_statistics(sqrt_ens, params))
 
         bro = table.by_tag("brownian", TAG_PAPER_REPORTED)
         assert abs(bro.mean.value.real - 0.0) <= 0.012

@@ -10,6 +10,7 @@ import os
 import platform
 import tempfile
 import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -502,13 +503,35 @@ def test_fpsolve_final_profile_golden_digest(tmp_path):
 
 
 def test_memory_error_exits_1_naming_the_size(tmp_path, capsys):
-    # one worker: the increment array is allocated at once in this process
-    code = run("simulate", "--paths", "1000000000000", "--threads", "1",
-               "--output", str(tmp_path / "huge"))
-    err = capsys.readouterr().err
-    assert code == 1
-    assert "n_paths = 1000000000000" in err and "n_steps = 1000" in err
-    assert "Traceback" not in err
+    # one worker: the ensemble array is allocated at once in this process;
+    # the output directory is made only after the draws succeed
+    for command in ("simulate", "table1"):
+        out = tmp_path / command
+        code = run(command, "--paths", "1000000000000", "--threads", "1", "--output", str(out))
+        err = capsys.readouterr().err
+        assert code == 1, command
+        assert "n_paths = 1000000000000" in err and "n_steps = 1000" in err
+        assert "Traceback" not in err
+        assert not out.exists(), command
+
+
+@pytest.mark.parametrize("command", ["table1", "kernels"])
+def test_one_ensemble_alive_at_a_time(tmp_path, command):
+    # both ensembles alive at once would trace 1.5 x the complex increments
+    # (8 MB of real dw beside 16 MB of complex increments); one at a time
+    # traces the complex ensemble and its row blocks.  scipy.optimize is
+    # imported first, so the peak counts arrays, not module objects.
+    import scipy.optimize  # noqa: F401
+
+    complex_bytes = 2000 * 500 * np.dtype(np.complex128).itemsize
+    tracemalloc.start()
+    try:
+        code = run(command, "--paths", "2000", "--steps", "500", "--output", str(tmp_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 1.25 * complex_bytes
 
 
 @pytest.mark.parametrize("argv, flag", [

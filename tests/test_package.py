@@ -4,7 +4,10 @@ the names the benchmark's traced replay patches and calls."""
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -91,3 +94,12 @@ def test_benchmark_replay_names_resolve():
         assert extra <= set(inspect.signature(fn).parameters), (
             f"{target.value.id}.{target.attr} does not accept {sorted(extra)}"
         )
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # only the Gaussian fits use scipy.optimize, and they import it themselves
+    src = str(Path(sqrtwiener.__file__).resolve().parents[1])
+    code = "import sys, sqrtwiener.cli; print('scipy.optimize' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert result.stdout.strip() == "False"

@@ -30,6 +30,7 @@ from sqrtwiener import (
     SeedSpec,
     SqrtParams,
     SummaryStats,
+    Table1Stats,
     TimeGrid,
     build_histogram,
     complex_mean,
@@ -175,9 +176,14 @@ def test_increment_pseudo_variance_normalization(protocol_ensembles):
     assert pv.real == pytest.approx(0.0, abs=5e-4)
 
 
+def _table(wiener, sqrt_ens, params):
+    """Both rows, each reduced from its own ensemble as table1 does."""
+    return Table1Stats(table1_statistics(wiener, params), table1_statistics(sqrt_ens, params))
+
+
 def test_table1_brownian_row(protocol_ensembles):
     wiener, sqrt_ens = protocol_ensembles
-    table = table1_statistics(wiener, sqrt_ens, SqrtParams())
+    table = _table(wiener, sqrt_ens, SqrtParams())
     bro = table.by_tag("brownian", TAG_PAPER_REPORTED)
     # temporal mean ~ 0 with stderr ~ sqrt(1/3)/sqrt(M) ~ 0.004
     assert abs(bro.mean.value.real) < 3 * bro.mean.stderr.real
@@ -194,7 +200,7 @@ def test_table1_brownian_row(protocol_ensembles):
 
 def test_table1_square_root_row(protocol_ensembles):
     wiener, sqrt_ens = protocol_ensembles
-    table = table1_statistics(wiener, sqrt_ens, SqrtParams())
+    table = _table(wiener, sqrt_ens, SqrtParams())
     sq = table.by_tag("square_root", TAG_PAPER_REPORTED)
     # mean components carry the modulus term: b / (2 mu0) = 0.5242...
     expected = BRACKET_MEAN / (2 * 0.5)
@@ -219,8 +225,8 @@ def test_table1_path_permutation_bit_exact(protocol_ensembles):
     perm = np.random.default_rng(9).permutation(2000)
     w_perm = WienerEnsemble(wiener.grid, wiener.dw[:2000][perm])
     s_perm = ComplexPathEnsemble(sqrt_ens.grid, sqrt_ens.increments[:2000][perm])
-    t1 = table1_statistics(w_small, s_small, SqrtParams())
-    t2 = table1_statistics(w_perm, s_perm, SqrtParams())
+    t1 = _table(w_small, s_small, SqrtParams())
+    t2 = _table(w_perm, s_perm, SqrtParams())
     for row in ("brownian", "square_root"):
         for a, b in zip(getattr(t1, row), getattr(t2, row)):
             assert a.estimator_tag == b.estimator_tag
@@ -254,7 +260,7 @@ def test_table1_statistics_golden(case):
     grid, params = TimeGrid(DT, 256), SqrtParams(*case)
     wiener = wiener_ensemble(grid, 601, master_seed=11)
     sqrt_ens = integrate_sqrt(grid, 601, params, master_seed=11)
-    table = table1_statistics(wiener, sqrt_ens, params)
+    table = _table(wiener, sqrt_ens, params)
     assert _table1_hex_digest(table) == TABLE1_GOLDEN[case]
 
 
@@ -332,9 +338,10 @@ def test_ensemble_passes_trace_under_a_quarter_of_their_input(wide_ensembles, fn
 
 
 def test_table1_statistics_traces_under_a_quarter_of_its_input(wide_ensembles):
-    wiener, sqrt_ens = wide_ensembles
-    _, peak = _traced(table1_statistics, wiener, sqrt_ens, SqrtParams())
-    assert peak < wiener.dw.nbytes / 4
+    wiener, _ = wide_ensembles
+    for ensemble in wide_ensembles:
+        _, peak = _traced(table1_statistics, ensemble, SqrtParams())
+        assert peak < wiener.dw.nbytes / 4
 
 
 def test_cumulative_terminal_holds_no_block(wide_ensembles):
@@ -342,13 +349,14 @@ def test_cumulative_terminal_holds_no_block(wide_ensembles):
     assert out.base is None or out.base.size == out.size
 
 
-def test_table1_shape_mismatch_rejected(protocol_ensembles):
-    from sqrtwiener import WienerEnsemble
-
-    wiener, sqrt_ens = protocol_ensembles
-    short = WienerEnsemble(wiener.grid, wiener.dw[:100])
-    with pytest.raises(ValueError):
-        table1_statistics(short, sqrt_ens, SqrtParams())
+def test_table1_statistics_row_follows_the_ensemble(wide_ensembles):
+    wiener, sqrt_ens = wide_ensembles
+    tags = [s.estimator_tag for s in table1_statistics(wiener, SqrtParams())]
+    assert tags == [TAG_PATH_TEMPORAL, TAG_PAPER_REPORTED, TAG_INCREMENT_NORMALIZED]
+    tags = [s.estimator_tag for s in table1_statistics(sqrt_ens, SqrtParams())]
+    assert tags == [TAG_PAPER_REPORTED, TAG_INCREMENT_NORMALIZED]
+    with pytest.raises(TypeError):
+        table1_statistics(wiener.dw, SqrtParams())
 
 
 def test_histogram_basic():
