@@ -44,11 +44,9 @@ from .paths import (
 )
 from .process import (
     ComplexPathEnsemble,
-    DirectionCoeffs,
     SqrtParams,
     ensemble_digest,
     ensemble_to_csv,
-    integrate_general,
     integrate_sqrt,
     sqrt_step_drifted,
     sqrt_step_scalar,

@@ -39,9 +39,7 @@ displacement rather than a nominal one.
 The Crank-Nicolson matrix depends only on (grid size, dx, dt, mu, D): it is
 factored once per such configuration and the read-only factors are memoized,
 so a caller that steps one call at a time pays one tridiagonal solve per
-step and no refactorization.  check_advective_bound owns the step's
-stability bound, for fp_evolve and for callers that validate a run before
-starting it.
+step and no refactorization.
 """
 
 from __future__ import annotations
@@ -65,7 +63,6 @@ __all__ = [
     "fp_params_from_process",
     "fp_analytic_solution",
     "gaussian_packet",
-    "check_advective_bound",
     "fp_evolve",
     "grid_integral",
 ]
@@ -150,7 +147,6 @@ class FPParams:
 
     drift: complex
     diffusion: complex
-    beta: float = 0.0
 
     def __post_init__(self) -> None:
         if self.diffusion == 0:
@@ -167,9 +163,8 @@ def fp_params_from_process(params: SqrtParams) -> FPParams:
         raise ValueError(
             f"evolution coefficients are derived at mu0 = 1/2, got {params.mu0}"
         )
-    beta = params.beta
-    drift = (1 + 1j) / 2 - beta * (1 - 1j) / 2
-    return FPParams(drift=drift, diffusion=-0.25j, beta=beta)
+    drift = (1 + 1j) / 2 - params.beta * (1 - 1j) / 2
+    return FPParams(drift=drift, diffusion=-0.25j)
 
 
 def fp_analytic_solution(x, t: float, p: FPParams):
@@ -237,16 +232,6 @@ _BOUNDARY_TOL = 1e-8
 _GTTRF, _GTTRS = get_lapack_funcs(("gttrf", "gttrs"), dtype=np.complex128)
 
 
-def check_advective_bound(drift: complex, dt: float, dx: float) -> None:
-    """Refuse a Crank-Nicolson step whose advective number |drift| dt / dx
-    exceeds 1/2."""
-    advective = abs(drift) * dt / dx
-    if advective > 0.5:
-        raise ValueError(
-            f"advective stability bound violated: |drift|*dt/dx = {advective:.4g} > 0.5"
-        )
-
-
 # a few configurations: each entry holds about 68 bytes per grid point
 @lru_cache(maxsize=4)
 def _cn_operator(n: int, dx: float, dt: float, drift: complex, diffusion: complex):
@@ -278,20 +263,24 @@ def fp_evolve(initial: GridFunction, p: FPParams, dt: float, n_steps: int) -> Gr
     time-centered (Crank-Nicolson) steps with boundary values pinned to 0.
 
     Configuration is validated on every call, before stepping: the advective
-    number |mu| dt / dx must not exceed 1/2 (check_advective_bound), and the
-    initial profile must be negligible at the boundary (|edge| <= 1e-8 *
-    max|psi|), otherwise the pinned boundaries are wrong, mass leaks, and
-    the run is refused.  The tridiagonal matrix is factored once (LAPACK
-    gttrf) per (grid size, dx, dt, mu, D) and memoized, so a run of
-    single-step calls factors once; each step is then one gttrs solve.  A
-    profile that leaves the finite range raises ValueError.
+    number |mu| dt / dx must not exceed 1/2, and the initial profile must be
+    negligible at the boundary (|edge| <= 1e-8 * max|psi|), otherwise the
+    pinned boundaries are wrong, mass leaks, and the run is refused.  The
+    tridiagonal matrix is factored once (LAPACK gttrf) per (grid size, dx,
+    dt, mu, D) and memoized, so a run of single-step calls factors once;
+    each step is then one gttrs solve.  A profile that leaves the finite
+    range raises ValueError.
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     dx = initial.dx
-    check_advective_bound(p.drift, dt, dx)
+    advective = abs(p.drift) * dt / dx
+    if advective > 0.5:
+        raise ValueError(
+            f"advective stability bound violated: |drift|*dt/dx = {advective:.4g} > 0.5"
+        )
     v = initial.values
     peak = np.abs(v).max()
     edge = max(abs(v[0]), abs(v[-1]))

@@ -19,10 +19,10 @@ these streams: it yields the increments one row block of row_blocks at a
 time, each row filled by its own keyed generator and the whole block then
 mapped to normals in place (_to_normal, which sample_wiener shares).  Every
 ensemble is built from these blocks as they are drawn: wiener_ensemble
-copies them into its increments, and the integrators in process bracket
-them straight into theirs, so no whole drawn dw is held beside an output.
+copies them into its increments, and integrate_sqrt in process brackets
+them straight into its own, so no whole drawn dw is held beside an output.
 
-Every pass over a whole ensemble (the draws, the integrators' brackets in
+Every pass over a whole ensemble (the draws, integrate_sqrt's bracket in
 process, the cumulative terminal column here, the pooled reductions in
 stats) walks it in the row blocks of row_blocks, so its temporaries are set
 by one block, not by n_paths x n_steps.
@@ -72,27 +72,16 @@ _U_FLOOR = 2.0**-53
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform discretization of [t0, t0 + n_steps*dt]."""
+    """Uniform discretization of [0, n_steps*dt]."""
 
     dt: float
     n_steps: int
-    t0: float = 0.0
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.dt) or self.dt <= 0:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not isinstance(self.n_steps, (int, np.integer)) or self.n_steps < 1:
             raise ValueError(f"n_steps must be a positive integer, got {self.n_steps}")
-        if not np.isfinite(self.t0):
-            raise ValueError(f"t0 must be finite, got {self.t0}")
-
-    @property
-    def horizon(self) -> float:
-        return self.n_steps * self.dt
-
-    def times(self) -> np.ndarray:
-        """Grid times t0, t0+dt, ..., t0+N*dt (length n_steps + 1)."""
-        return self.t0 + self.dt * np.arange(self.n_steps + 1)
 
 
 @dataclass(frozen=True)
@@ -114,8 +103,8 @@ class SeedSpec:
 
 
 # Elements per row block of a pass over an ensemble (a block holds at least
-# one row): bounds the temporaries of the pass by one block, and keeps the
-# integrators' brackets in cache.
+# one row): bounds the temporaries of the pass by one block, and keeps
+# integrate_sqrt's bracket in cache.
 _BLOCK_ELEMENTS = 1 << 14
 
 

@@ -14,22 +14,10 @@ every step; squaring a scalar step therefore reproduces mu0^2*sign(dw) + dw
 only up to O(dt) residuals, while the Clifford-embedded form with the exact
 amplitude (clifford module) removes the shift identically.
 
-The generalized multi-direction form integrates, per direction A with
-independent driving streams,
-
-    dY_A = (kappa_A + xi_A * dw_A * b_A + zeta_A * dt + i * eta_A * g5) * phi_A
-
-where b_A = sign(dw_A) (the Bernoulli sign is tied to its Wiener stream, not
-independent) and g5 is fixed to the unit scalar: at this level the chirality
-factor only contributes a phase weight.  The matrix direction factor is
-tracked as the position of each ensemble in the returned list, never
-multiplied in.
-
-Both integrators draw their increments through paths.draw_blocks, the one
-loop that keys a Philox stream per row, and bracket each row block straight
-into their outputs as it is drawn (integrate_general splits its rows by
-direction), so no whole drawn dw is held; the bracket is element-wise, so
-the bits do not depend on the blocks.
+integrate_sqrt draws its increments through paths.draw_blocks, the one loop
+that keys a Philox stream per row, and brackets each row block straight into
+its output as it is drawn, so no whole drawn dw is held; the bracket is
+element-wise, so the bits do not depend on the blocks.
 Ensembles store only their increments; cumulative values are computed on
 read.  Every CSV goes through write_csv, every digest through array_digest,
 and every output file is written as .NAME.PID.tmp (spelled here only) and
@@ -56,17 +44,14 @@ from .paths import (
     cumulative_terminal,
     draw_blocks,
     phi_half,
-    sign_of,
 )
 
 __all__ = [
     "SqrtParams",
     "ComplexPathEnsemble",
-    "DirectionCoeffs",
     "sqrt_step_scalar",
     "sqrt_step_drifted",
     "integrate_sqrt",
-    "integrate_general",
     "array_digest",
     "ensemble_digest",
     "replaced_atomically",
@@ -99,7 +84,7 @@ def sqrt_step_scalar(dw, dt: float, params: SqrtParams, phi):
     """Undrifted square-root increment(s) at scale mu0.
 
     phi must be the coin-toss phase of the same dw (1 where dw >= 0, i
-    otherwise); the integrators guarantee this pairing.
+    otherwise); integrate_sqrt guarantees this pairing.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -191,62 +176,6 @@ def integrate_sqrt(
     for rows, dw in blocks:
         inc[rows] = step(dw, grid.dt, params, phi_half(WienerEnsemble(grid, dw)))
     return ComplexPathEnsemble(grid, inc)
-
-
-@dataclass(frozen=True)
-class DirectionCoeffs:
-    """Coefficients (kappa, xi, zeta, eta) of one direction of the
-    generalized process."""
-
-    kappa: float = 0.0
-    xi: float = 0.0
-    zeta: float = 0.0
-    eta: float = 0.0
-
-    def __post_init__(self) -> None:
-        for name in ("kappa", "xi", "zeta", "eta"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-
-
-# The chirality factor acts as a pure phase weight at this level; its full
-# matrix action is out of scope.
-_G5 = 1.0
-
-
-def integrate_general(
-    grid: TimeGrid,
-    n_paths: int,
-    coeffs: Sequence[DirectionCoeffs],
-    master_seed: int,
-    workers: int = 1,
-) -> list[ComplexPathEnsemble]:
-    """Integrate the generalized process; one ensemble per direction.
-
-    Direction A of path p consumes the stream of
-    SeedSpec(master_seed, p * n_directions + A), so all (path, direction)
-    streams are mutually independent.  With a single direction the streams
-    coincide with integrate_sqrt's, which makes the coefficient-match
-    reduction (kappa, xi, zeta, eta) = (mu0, 1/(2 mu0), -1/(8 mu0^3), 0)
-    exact, path by path.
-    """
-    if len(coeffs) == 0:
-        raise ValueError("at least one direction of coefficients is required")
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    n_dir = len(coeffs)
-    blocks = draw_blocks(grid, n_paths * n_dir, master_seed, workers)
-    inc = [np.empty((n_paths, grid.n_steps), dtype=np.complex128) for _ in coeffs]
-    for rows, dw in blocks:
-        for a, c in enumerate(coeffs):
-            # the block's rows r = a (mod n_dir), the streams of paths r // n_dir
-            first = (a - rows.start) % n_dir
-            w = WienerEnsemble(grid, dw[first::n_dir])
-            p = (rows.start + first) // n_dir
-            inc[a][p:p + w.n_paths] = (
-                c.kappa + c.xi * w.dw * sign_of(w) + c.zeta * grid.dt + 1j * c.eta * _G5
-            ) * phi_half(w)
-    return [ComplexPathEnsemble(grid, x) for x in inc]
 
 
 def array_digest(arr: np.ndarray) -> str:

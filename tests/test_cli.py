@@ -446,18 +446,27 @@ def test_float_flags_refuse_anything_but_a_finite_real(tmp_path, capsys, command
     _refused(tmp_path, capsys, (command, f"--{flag}={value}"), f"--{flag}")
 
 
-@pytest.mark.parametrize("argv", [("--sigma0", "1e200"), ("--fp-time", "1e300")], ids=" ".join)
+@pytest.mark.parametrize(
+    "argv", [("--sigma0", "1e200"), ("--fp-time", "1e300"), ("--fp-dt", "1e-310")], ids=" ".join
+)
 def test_fpsolve_refuses_a_domain_out_of_float_range(tmp_path, capsys, argv):
     _refused(tmp_path, capsys, ("fpsolve",) + argv, f"{argv[0][2:]} = {float(argv[1])}")
 
 
+def _no_draws(*args, **kwargs):
+    raise AssertionError("drew an ensemble for a run that must be refused")
+
+
+def test_table1_refuses_a_single_increment_before_drawing(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("sqrtwiener.cli.wiener_ensemble", _no_draws)
+    _refused(tmp_path, capsys, ("table1", "--paths", "1", "--steps", "1"),
+             "n_paths = 1 x n_steps = 1")
+
+
 @pytest.mark.parametrize("bins", ["0", "-3"])
 def test_kernels_rejects_bad_bins_before_drawing(tmp_path, capsys, monkeypatch, bins):
-    def no_draws(*args, **kwargs):
-        raise AssertionError("drew an ensemble for a run that must be refused")
-
-    monkeypatch.setattr("sqrtwiener.cli.wiener_ensemble", no_draws)
-    monkeypatch.setattr("sqrtwiener.cli.integrate_sqrt", no_draws)
+    monkeypatch.setattr("sqrtwiener.cli.wiener_ensemble", _no_draws)
+    monkeypatch.setattr("sqrtwiener.cli.integrate_sqrt", _no_draws)
     out = tmp_path / "k"
     assert run("kernels", "--bins", bins, "--output", str(out)) == 1
     assert "bins" in capsys.readouterr().err

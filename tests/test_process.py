@@ -1,4 +1,4 @@
-"""Square-root process steps, integrators, and the generalized form."""
+"""Square-root process steps, the integrator, ensembles and digests."""
 
 import dataclasses
 import hashlib
@@ -10,13 +10,11 @@ import sympy
 
 from sqrtwiener import (
     ComplexPathEnsemble,
-    DirectionCoeffs,
     SeedSpec,
     SqrtParams,
     TimeGrid,
     ensemble_digest,
     ensemble_to_csv,
-    integrate_general,
     integrate_sqrt,
     make_rng,
     phi_half,
@@ -201,52 +199,6 @@ def test_integrate_other_scale_uses_scalar_step():
     )
 
 
-def test_general_reproduces_scalar_step():
-    # (kappa, xi, zeta, eta) = (mu0, 1/(2 mu0), -1/(8 mu0^3), 0) is the
-    # scalar bracket; with one direction the streams line up path by path
-    mu0 = 0.5
-    coeffs = [DirectionCoeffs(kappa=mu0, xi=1 / (2 * mu0), zeta=-1 / (8 * mu0**3))]
-    gen = integrate_general(TimeGrid(DT, 128), 6, coeffs, master_seed=12)
-    ref = integrate_sqrt(TimeGrid(DT, 128), 6, SqrtParams(mu0), master_seed=12)
-    assert len(gen) == 1
-    np.testing.assert_array_equal(gen[0].increments, ref.increments)
-
-
-def test_general_zero_coefficients():
-    gen = integrate_general(TimeGrid(DT, 16), 3, [DirectionCoeffs()], master_seed=1)
-    assert np.all(gen[0].increments == 0)
-
-
-def test_general_pure_phase_direction():
-    # kappa = 1 alone emits the coin-toss phase stream; its mean is the
-    # two-point Bernoulli mean (1+i)/2
-    gen = integrate_general(TimeGrid(DT, 100), 2000, [DirectionCoeffs(kappa=1.0)], 21)
-    inc = gen[0].increments
-    assert np.all((inc == 1) | (inc == 1j))
-    mean = inc.mean()
-    stderr = 0.5 / np.sqrt(inc.size)  # exact std of each component is 1/2
-    assert abs(mean.real - 0.5) < 3 * stderr
-    assert abs(mean.imag - 0.5) < 3 * stderr
-
-
-def test_general_chirality_weight():
-    gen = integrate_general(TimeGrid(DT, 8), 1, [DirectionCoeffs(kappa=1.0, eta=0.25)], 2)
-    w = sample_wiener(TimeGrid(DT, 8), make_rng(SeedSpec(2, 0)))
-    expected = (1.0 + 0.25j) * phi_half(w)
-    np.testing.assert_array_equal(gen[0].increments[0], expected)
-
-
-def test_general_directions_independent():
-    coeffs = [DirectionCoeffs(kappa=1.0, xi=1.0), DirectionCoeffs(kappa=1.0, xi=1.0)]
-    gen = integrate_general(TimeGrid(DT, 64), 3, coeffs, master_seed=30)
-    assert not np.array_equal(gen[0].increments, gen[1].increments)
-
-
-def test_general_rejects_empty_coeffs():
-    with pytest.raises(ValueError):
-        integrate_general(GRID, 2, [], master_seed=1)
-
-
 def test_ensemble_shape_validation():
     with pytest.raises(ValueError):
         ComplexPathEnsemble(GRID, np.zeros((2, 3), complex))
@@ -277,46 +229,19 @@ def test_csv_roundtrip_and_summary(tmp_path):
 # were merged; every bracket, scale and worker count must keep them.  300
 # rows of 64 steps span more than one step block.
 GOLDEN_GRID = TimeGrid(DT, 64)
-GOLDEN_COEFFS = [
-    DirectionCoeffs(0.5, 1.0, -1.0, 0.0),
-    DirectionCoeffs(0.3, -0.7, 0.2, 0.4),
-    DirectionCoeffs(0.0, 1.5, 0.0, -1.1),
-]
 GOLDEN_DIGESTS = {
-    (0.5, 0.0): ["1e437ec3e8cbe21b4dba3032a6bfeef6b6d0aea11aecce1cd8cd02288c8ff2ca"],
-    (0.5, 0.7): ["b19563fb069b91599ce967365f8750f7efed08684b747b56003f4ca143098e37"],
-    (0.7, 0.0): ["c1767f1ffb78ddb49202fa107c1a3d5ac7db85cde541bddcf6c89cdadceb9121"],
-    (-1.3, 0.0): ["3223071f6ba59b8f254bcdadc4155e7a48e016eb64320647f799038ca606097b"],
-    "general": [
-        "88b6ea157a1fec5034fc1ad673bd8d28515a4e93166a8cd7cdfe97153f285c01",
-        "8441c3f9b92a3ed71fa9a69c00c4d44558ee59b4b6e4f3a9d4f774572f3c92a4",
-        "bb2e0e14eca50af9c650d5e45ecef0aa1ba04cbaef33586e467a055e123f9ed2",
-    ],
+    (0.5, 0.0): "1e437ec3e8cbe21b4dba3032a6bfeef6b6d0aea11aecce1cd8cd02288c8ff2ca",
+    (0.5, 0.7): "b19563fb069b91599ce967365f8750f7efed08684b747b56003f4ca143098e37",
+    (0.7, 0.0): "c1767f1ffb78ddb49202fa107c1a3d5ac7db85cde541bddcf6c89cdadceb9121",
+    (-1.3, 0.0): "3223071f6ba59b8f254bcdadc4155e7a48e016eb64320647f799038ca606097b",
 }
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("case", list(GOLDEN_DIGESTS), ids=str)
 def test_golden_sqrt_digests(case, workers):
-    if case == "general":
-        ensembles = integrate_general(GOLDEN_GRID, 100, GOLDEN_COEFFS, 7, workers=workers)
-    else:
-        ensembles = [integrate_sqrt(GOLDEN_GRID, 300, SqrtParams(*case), 7, workers=workers)]
-    assert [ensemble_digest(e) for e in ensembles] == [
-        "sha256:" + d for d in GOLDEN_DIGESTS[case]
-    ]
-
-
-def test_integrate_general_temporaries_stay_under_a_quarter_output():
-    # 2000 paths x 500 steps: one 16 MB output per direction; each drawn row
-    # block is bracketed as it is drawn, so no whole drawn dw (16 or 24 MB)
-    # is held beside the outputs
-    for n_dir in (2, 3):
-        ensembles, peak = _traced_peak(
-            integrate_general, TimeGrid(DT, 500), 2000, GOLDEN_COEFFS[:n_dir], 5
-        )
-        output = ensembles[0].increments.nbytes
-        assert peak < n_dir * output + output / 4
+    ens = integrate_sqrt(GOLDEN_GRID, 300, SqrtParams(*case), 7, workers=workers)
+    assert ensemble_digest(ens) == "sha256:" + GOLDEN_DIGESTS[case]
 
 
 def _traced_peak(fn, *args):
