@@ -575,15 +575,21 @@ def _fp_heat_validation() -> dict:
     }
 
 
+# Most Crank-Nicolson steps fpsolve takes, far above its 500 at the defaults
+_FP_MAX_STEPS = 10**6
+
+
 def cmd_fpsolve(config: RunConfig, args: argparse.Namespace) -> int:
     grid_points, fp_dt, fp_time, sigma0 = args.grid_points, args.fp_dt, args.fp_time, args.sigma0
     if grid_points < 64:
         raise ConfigError(f"grid-points must be >= 64, got {grid_points}")
     if not fp_dt > 0 or not fp_time > 0 or not sigma0 > 0:
         raise ConfigError("fp-dt, fp-time and sigma0 must all be positive")
-    if not math.isfinite(fp_time / fp_dt):
+    # one fp_evolve call per step; this also refuses a step count out of float range
+    if not fp_time / fp_dt <= _FP_MAX_STEPS:
         raise ConfigError(
-            f"fp-time = {fp_time} and fp-dt = {fp_dt} give a step count out of float range"
+            f"fp-time = {fp_time} and fp-dt = {fp_dt} give {fp_time / fp_dt:.3g} steps, "
+            f"more than the {_FP_MAX_STEPS} allowed"
         )
     p = kn.fp_params_from_process(config.params)
 
@@ -605,11 +611,16 @@ def cmd_fpsolve(config: RunConfig, args: argparse.Namespace) -> int:
     masses = [kn.grid_integral(init)]
     profiles = {0.0: init}
     current = init
-    for k in range(n_steps):
-        current = kn.fp_evolve(current, p, dt_eff, 1)
-        masses.append(kn.grid_integral(current))
-        if k + 1 == n_steps // 2:
-            profiles[n_steps // 2 * dt_eff] = current
+    try:
+        for k in range(n_steps):
+            current = kn.fp_evolve(current, p, dt_eff, 1)
+            masses.append(kn.grid_integral(current))
+            if k + 1 == n_steps // 2:
+                profiles[n_steps // 2 * dt_eff] = current
+    except ValueError as exc:
+        raise ConfigError(
+            f"grid-points = {grid_points}, fp-time = {fp_time} and fp-dt = {fp_dt}: {exc}"
+        ) from exc
     profiles[fp_time] = current
 
     mass_arr = np.array(masses)

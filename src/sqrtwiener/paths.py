@@ -25,7 +25,9 @@ them straight into its own, so no whole drawn dw is held beside an output.
 Every pass over a whole ensemble (the draws, integrate_sqrt's bracket in
 process, the cumulative terminal column here, the pooled reductions in
 stats) walks it in the row blocks of row_blocks, so its temporaries are set
-by one block, not by n_paths x n_steps.
+by one block, not by n_paths x n_steps.  The bracket and the cumulative
+terminal column write each block into views of one block_scratch buffer
+allocated per call, not into new arrays per block.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ __all__ = [
     "WienerEnsemble",
     "make_rng",
     "row_blocks",
+    "block_scratch",
     "cumulative_paths",
     "cumulative_terminal",
     "sample_wiener",
@@ -108,12 +111,23 @@ class SeedSpec:
 _BLOCK_ELEMENTS = 1 << 14
 
 
+def _rows_per_block(n_cols: int) -> int:
+    return max(1, _BLOCK_ELEMENTS // max(1, n_cols))
+
+
 def row_blocks(n_rows: int, n_cols: int) -> Iterator[slice]:
     """Slices of consecutive rows of an (n_rows, n_cols) array, about
     _BLOCK_ELEMENTS elements each, made as they are read."""
-    step = max(1, _BLOCK_ELEMENTS // max(1, n_cols))
+    step = _rows_per_block(n_cols)
     for lo in range(0, n_rows, step):
         yield slice(lo, min(lo + step, n_rows))
+
+
+def block_scratch(n_rows: int, n_cols: int, dtype) -> np.ndarray:
+    """An uninitialised buffer that holds any row block of row_blocks(n_rows,
+    n_cols): a pass that writes each block's temporaries into views of it
+    allocates once, whatever the state of the heap."""
+    return np.empty((min(n_rows, _rows_per_block(n_cols)), n_cols), dtype)
 
 
 def cumulative_paths(increments: np.ndarray) -> np.ndarray:
@@ -127,8 +141,11 @@ def cumulative_terminal(increments: np.ndarray) -> np.ndarray:
     """cumulative_paths(increments)[:, -1] of a 2-D array, bit for bit,
     with only one row block's running sums alive at a time."""
     out = np.empty(increments.shape[0], increments.dtype)
+    # the running sums do not depend on cumulative_paths' leading 0
+    sums = block_scratch(*increments.shape, increments.dtype)
     for block in row_blocks(*increments.shape):
-        out[block] = cumulative_paths(increments[block])[:, -1]
+        rows = increments[block]
+        out[block] = np.cumsum(rows, axis=-1, out=sums[: len(rows)])[:, -1]
     return out
 
 
@@ -194,11 +211,17 @@ def phi_from_bernoulli(b: np.ndarray) -> np.ndarray:
     return (1 + b) / 2 + 1j * (1 - b) / 2
 
 
-def phi_half(w: WienerIncrements | WienerEnsemble) -> np.ndarray:
+def phi_half(w: WienerIncrements | WienerEnsemble, out: np.ndarray | None = None) -> np.ndarray:
     """Coin-toss phase sequence of the increments: 1 where dw >= 0, i where
     dw < 0, element-wise over a path or an ensemble.  Satisfies
-    phi**2 == sign_of(w) exactly."""
-    return np.where(w.dw >= 0, 1.0 + 0.0j, 1.0j)
+    phi**2 == sign_of(w) exactly.  out, a complex128 array of dw's shape,
+    receives the phase when given."""
+    if out is None:
+        out = np.empty(w.dw.shape, np.complex128)
+    # 1+0j or 0+1j, without a branch per element
+    np.greater_equal(w.dw, 0, out=out.real)
+    np.subtract(1.0, out.real, out=out.imag)
+    return out
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,12 @@ amplitude (clifford module) removes the shift identically.
 integrate_sqrt draws its increments through paths.draw_blocks, the one loop
 that keys a Philox stream per row, and brackets each row block straight into
 its output as it is drawn, so no whole drawn dw is held; the bracket is
-element-wise, so the bits do not depend on the blocks.
+element-wise, so the bits do not depend on the blocks.  The steps and
+paths.phi_half take an optional out=: each block's phase goes into one
+buffer allocated per call, and its amplitude is built in the real part of
+the block's own rows of the output and multiplied by the phase in place.
+So the bracket allocates nothing per block, and its cost does not depend on
+whether the allocator kept the pages of the block before.
 Ensembles store only their increments; cumulative values are computed on
 read.  Every CSV goes through write_csv, every digest through array_digest,
 and every output file is written as .NAME.PID.tmp (spelled here only) and
@@ -40,6 +45,7 @@ import numpy as np
 from .paths import (
     TimeGrid,
     WienerEnsemble,
+    block_scratch,
     cumulative_paths,
     cumulative_terminal,
     draw_blocks,
@@ -80,23 +86,50 @@ class SqrtParams:
             raise ValueError(f"beta must be finite, got {self.beta}")
 
 
-def sqrt_step_scalar(dw, dt: float, params: SqrtParams, phi):
+def _amplitude_buffer(dw, phi, out):
+    """out, or a new complex128 array of dw and phi broadcast together: a
+    step builds its float amplitude in out.real and then multiplies by phi
+    in place (_times_phase), so with out given it allocates nothing."""
+    if out is None:
+        return np.empty(np.broadcast_shapes(np.shape(dw), np.shape(phi)), np.complex128)
+    return out
+
+
+def _times_phase(amplitude: np.ndarray, phi, new: bool):
+    """The amplitude held in amplitude.real, times phi, in amplitude.
+
+    With the imaginary part +0 this is the complex product numpy forms for a
+    float array times a complex one, so the bits are the same.  A new result
+    of shape () is returned as a numpy scalar, as that arithmetic returns it."""
+    amplitude.imag = 0.0
+    np.multiply(amplitude, phi, out=amplitude)
+    return amplitude[()] if new else amplitude
+
+
+def sqrt_step_scalar(dw, dt: float, params: SqrtParams, phi, out=None):
     """Undrifted square-root increment(s) at scale mu0.
 
     phi must be the coin-toss phase of the same dw (1 where dw >= 0, i
-    otherwise); integrate_sqrt guarantees this pairing.
+    otherwise); integrate_sqrt guarantees this pairing.  out, a complex128
+    array of the broadcast shape, receives the increments when given.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     mu0 = params.mu0
-    dw = np.asarray(dw)
-    return (mu0 + np.abs(dw) / (2 * mu0) - dt / (8 * mu0**3)) * phi
+    product = _amplitude_buffer(dw, phi, out)
+    amplitude = product.real
+    np.abs(dw, out=amplitude)
+    amplitude /= 2 * mu0
+    amplitude += mu0
+    amplitude -= dt / (8 * mu0**3)
+    return _times_phase(product, phi, out is None)
 
 
-def sqrt_step_drifted(dw, dt: float, params: SqrtParams, phi):
+def sqrt_step_drifted(dw, dt: float, params: SqrtParams, phi, out=None):
     """Drifted square-root increment(s); only derived at mu0 = 1/2.
 
-    Reduces exactly to sqrt_step_scalar at beta = 0.
+    Reduces exactly to sqrt_step_scalar at beta = 0.  out as for
+    sqrt_step_scalar.
     """
     if params.mu0 != 0.5:
         raise ValueError(
@@ -105,9 +138,20 @@ def sqrt_step_drifted(dw, dt: float, params: SqrtParams, phi):
         )
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    dw = np.asarray(dw)
-    sgn = np.where(dw >= 0, 1.0, -1.0)
-    return (0.5 + np.abs(dw) + (-1.0 + params.beta * sgn) * dt) * phi
+    product = _amplitude_buffer(dw, phi, out)
+    amplitude, term = product.real, product.imag
+    np.abs(dw, out=amplitude)
+    amplitude += 0.5
+    # (-1 + beta*sign(dw))*dt takes two values (beta*(+-1.0) is exact), one
+    # when beta = 0
+    up, down = (-1.0 + params.beta) * dt, (-1.0 - params.beta) * dt
+    if up == down:
+        amplitude += up
+    else:
+        np.copyto(term, down)
+        np.copyto(term, up, where=np.asarray(dw) >= 0)
+        amplitude += term
+    return _times_phase(product, phi, out is None)
 
 
 @dataclass(frozen=True)
@@ -173,8 +217,10 @@ def integrate_sqrt(
     step = sqrt_step_drifted if params.mu0 == 0.5 else sqrt_step_scalar
     blocks = draw_blocks(grid, n_paths, master_seed, workers)
     inc = np.empty((n_paths, grid.n_steps), dtype=np.complex128)
+    phase = block_scratch(n_paths, grid.n_steps, np.complex128)
     for rows, dw in blocks:
-        inc[rows] = step(dw, grid.dt, params, phi_half(WienerEnsemble(grid, dw)))
+        phi = phi_half(WienerEnsemble(grid, dw), out=phase[: len(dw)])
+        step(dw, grid.dt, params, phi, out=inc[rows])
     return ComplexPathEnsemble(grid, inc)
 
 

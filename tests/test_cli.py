@@ -453,6 +453,27 @@ def test_fpsolve_refuses_a_domain_out_of_float_range(tmp_path, capsys, argv):
     _refused(tmp_path, capsys, ("fpsolve",) + argv, f"{argv[0][2:]} = {float(argv[1])}")
 
 
+@pytest.mark.parametrize("argv, field", [
+    (("--fp-dt", "1e-300"), "fp-time = 0.5 and fp-dt = 1e-300"),
+    (("--fp-time", "1.0", "--fp-dt", "9.9e-7"), "fp-time = 1.0 and fp-dt = 9.9e-07"),
+], ids=["tiny-dt", "just-above-cap"])
+def test_fpsolve_refuses_too_many_steps_before_evolving(tmp_path, capsys, monkeypatch, argv, field):
+    monkeypatch.setattr("sqrtwiener.kernels.fp_evolve", _no_evolution)
+    _refused(tmp_path, capsys, ("fpsolve",) + argv, field)
+
+
+def test_fpsolve_refuses_mass_leaking_through_the_boundary(tmp_path, capsys):
+    # the one recorded mass-drift defect: beside x_min the evolved profile
+    # reaches 3.4e-7 of its peak, and the per-step drift exceeds 1e-8
+    _refused(tmp_path, capsys,
+             ("fpsolve", "--grid-points", "8192", "--fp-time", "1.0", "--fp-dt", "0.0005"),
+             "grid-points = 8192, fp-time = 1.0 and fp-dt = 0.0005")
+
+
+def _no_evolution(*args, **kwargs):
+    raise AssertionError("evolved a profile for a run that must be refused")
+
+
 def _no_draws(*args, **kwargs):
     raise AssertionError("drew an ensemble for a run that must be refused")
 

@@ -257,6 +257,26 @@ def test_evolve_rejects_narrow_domain():
     init = GridFunction(-2, 2, gaussian_packet(x, 0.0, 1.0, p))
     with pytest.raises(ValueError, match="boundary"):
         fp_evolve(init, p, 1e-4, 5)
+    with pytest.raises(ValueError, match="boundary"):  # no peak to compare with
+        fp_evolve(GridFunction(-2, 2, np.zeros(257, complex)), p, 1e-4, 5)
+
+
+def test_evolve_refuses_a_profile_that_reaches_the_boundary():
+    # the initial profile is 5e-32 of its peak at the boundary; near t = 0.49
+    # the spreading packet passes 1e-7 of its peak beside it.  The boundary
+    # points are pinned to 0 after every step, so only the points beside them
+    # show the leak, also to a loop of single-step calls
+    p = FPParams(drift=0.0, diffusion=1.0)
+    x = np.linspace(-6, 6, 513)
+    init = GridFunction(-6, 6, gaussian_packet(x, 0.0, 0.5, p))
+    g = init
+    for _ in range(90):
+        g = fp_evolve(g, p, 0.005, 1)
+    with pytest.raises(ValueError, match="next to the boundary"):
+        for _ in range(10):
+            g = fp_evolve(g, p, 0.005, 1)
+    with pytest.raises(ValueError, match="next to the boundary"):
+        fp_evolve(init, p, 0.005, 100)
 
 
 def test_evolve_drifted_complex_full_coefficients():

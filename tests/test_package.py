@@ -95,6 +95,23 @@ def test_benchmark_replay_names_resolve():
             f"{target.value.id}.{target.attr} does not accept {sorted(extra)}"
         )
 
+    # the per-path replay calls phi_half(w) and step(dw, dt, params, phi), step
+    # being either square-root step: a parameter added without a default must
+    # fail here rather than only in a traced benchmark run
+    calls = {
+        node.func.id: node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("phi_half", "step")
+    }
+    assert set(calls) == {"phi_half", "step"}
+    targets = {"phi_half": [sqrtwiener.phi_half],
+               "step": [sqrtwiener.sqrt_step_drifted, sqrtwiener.sqrt_step_scalar]}
+    shapes = {"phi_half": 1, "step": 4}
+    for name, call in calls.items():
+        assert len(call.args) == shapes[name] and not call.keywords, ast.unparse(call)
+        for fn in targets[name]:
+            inspect.signature(fn).bind(*call.args)  # raises TypeError on a mismatch
+
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
     # only the Gaussian fits use scipy.optimize, and they import it themselves

@@ -7,12 +7,15 @@ import tracemalloc
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqrtwiener import (
     ComplexPathEnsemble,
     SeedSpec,
     SqrtParams,
     TimeGrid,
+    WienerIncrements,
     ensemble_digest,
     ensemble_to_csv,
     integrate_sqrt,
@@ -22,7 +25,7 @@ from sqrtwiener import (
     sqrt_step_drifted,
     sqrt_step_scalar,
 )
-from sqrtwiener.paths import cumulative_paths, wiener_ensemble
+from sqrtwiener.paths import cumulative_paths, row_blocks, wiener_ensemble
 from sqrtwiener.process import array_digest
 
 DT = 0.001
@@ -242,6 +245,60 @@ GOLDEN_DIGESTS = {
 def test_golden_sqrt_digests(case, workers):
     ens = integrate_sqrt(GOLDEN_GRID, 300, SqrtParams(*case), 7, workers=workers)
     assert ensemble_digest(ens) == "sha256:" + GOLDEN_DIGESTS[case]
+
+
+def _reference_step(dw, dt, params, phi):
+    """The step formulas as written before the steps took out=, with new
+    temporaries for every term: the bits each form of the steps must give."""
+    if params.mu0 == 0.5:
+        sgn = np.where(dw >= 0, 1.0, -1.0)
+        return (0.5 + np.abs(dw) + (-1.0 + params.beta * sgn) * dt) * phi
+    mu0 = params.mu0
+    return (mu0 + np.abs(dw) / (2 * mu0) - dt / (8 * mu0**3)) * phi
+
+
+# signed zeros, subnormals and large moduli besides arbitrary finite draws
+_EDGE_INCREMENTS = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300, 1.7e308]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.lists(
+        st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_EDGE_INCREMENTS),
+        min_size=1, max_size=64,
+    ),
+    case=st.sampled_from(list(GOLDEN_DIGESTS)),
+)
+def test_steps_and_phase_into_out_give_the_same_bits(values, case):
+    params = SqrtParams(*case)
+    step = sqrt_step_drifted if params.mu0 == 0.5 else sqrt_step_scalar
+    dw = np.array(values)
+    w = WienerIncrements(TimeGrid(DT, len(dw)), dw)
+
+    phi = phi_half(w)
+    phase = np.full(dw.shape, np.nan + 0j)  # what an earlier block left behind
+    assert phi_half(w, out=phase) is phase
+    assert phase.tobytes() == phi.tobytes() == np.where(dw >= 0, 1.0 + 0.0j, 1.0j).tobytes()
+
+    inc = step(dw, DT, params, phi)
+    out = np.full(dw.shape, np.nan + 0j)
+    assert step(dw, DT, params, phi, out=out) is out
+    assert out.tobytes() == inc.tobytes() == _reference_step(dw, DT, params, phi).tobytes()
+
+
+@pytest.mark.parametrize("case", list(GOLDEN_DIGESTS), ids=str)
+def test_integrate_sqrt_last_block_partial(case):
+    # 1000 steps: 16 rows a block, so 19 rows end on a block of 3
+    params = SqrtParams(*case)
+    step = sqrt_step_drifted if params.mu0 == 0.5 else sqrt_step_scalar
+    blocks = list(row_blocks(19, GRID.n_steps))
+    assert len(blocks) == 2 and blocks[-1].stop - blocks[-1].start == 3
+    ens = integrate_sqrt(GRID, 19, params, master_seed=4)
+    for p in range(19):
+        w = sample_wiener(GRID, make_rng(SeedSpec(4, p)))
+        expected = _reference_step(w.dw, DT, params, phi_half(w))
+        assert ens.increments[p].tobytes() == expected.tobytes(), p
+    assert ens.terminal_values.tobytes() == cumulative_paths(ens.increments)[:, -1].tobytes()
 
 
 def _traced_peak(fn, *args):
