@@ -470,8 +470,9 @@ def cmd_kernels(config: RunConfig, args: argparse.Namespace) -> int:
     sqrt_ens = integrate_sqrt(config.grid, config.n_paths, config.params, config.seed, config.workers)
     wick_emp = kn.wick_rotate_samples(kn.square_samples(sqrt_ens.terminal_values))
 
-    hist_w = st.build_histogram(w_term, bins, normalization="density")
-    hist_s = st.build_histogram(wick_emp, bins, normalization="density")
+    with _memory_for(f"bins = {bins}"):
+        hist_w = st.build_histogram(w_term, bins, normalization="density")
+        hist_s = st.build_histogram(wick_emp, bins, normalization="density")
     fits = {}
     for label, hist in (("wiener_terminal", hist_w), ("sqrt_wick_rotated", hist_s)):
         try:
@@ -645,6 +646,7 @@ def cmd_fpsolve(config: RunConfig, args: argparse.Namespace) -> int:
 
     mod0 = np.abs(init.values)
     mod1 = np.abs(current.values)
+    closed_err = np.abs(current.values - kn.gaussian_packet(x, fp_time, sigma0, p))
     report = {
         "manifest": manifest,
         "mass_initial": [mass_arr[0].real, mass_arr[0].imag],
@@ -652,6 +654,10 @@ def cmd_fpsolve(config: RunConfig, args: argparse.Namespace) -> int:
         "max_per_step_mass_drift": per_step_drift,
         "modulus_center_initial": float(x[np.argmax(mod0)]),
         "modulus_center_final": float(x[np.argmax(mod1)]),
+        "closed_form_error": {
+            "l_inf_error": float(closed_err.max()),
+            "l2_error": float(np.sqrt((closed_err**2).sum() * current.dx)),
+        },
         "heat_mode_validation": _fp_heat_validation(),
         "self_convergence": _fp_convergence_study(p),
     }

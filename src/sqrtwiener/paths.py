@@ -10,14 +10,18 @@ dW ~ N(0, dt) and three sequences derived from it element-wise:
 The tie-break sign(0) := +1 is fixed so that runs are bit-reproducible; the
 event has probability zero for continuous draws anyway.
 
-Reproducibility contract: every path owns a counter-based Philox generator
+Reproducibility contract: every path owns a counter-based Philox stream
 keyed directly by (master_seed, path_index), and every increment consumes
 exactly one uniform draw mapped through the inverse normal CDF.  Streams are
 therefore independent across paths and bit-stable across platforms, path
 order, and worker counts.  draw_blocks is the one loop that keys and draws
 these streams: it yields the increments one row block of row_blocks at a
-time, each row filled by its own keyed generator and the whole block then
-mapped to normals in place (_to_normal, which sample_wiener shares).  Every
+time, and the whole block is then mapped to normals in place (_to_normal,
+which sample_wiener shares).  A block builds one generator and make_rng
+re-keys it for each row: a Philox stream is a pure function of its key and
+counter, so setting both gives the bits of a freshly keyed generator without
+the cost of building one per row.  Each row is still keyed by exactly one
+make_rng call, the function the benchmark's replay counts streams at.  Every
 ensemble is built from these blocks as they are drawn: wiener_ensemble
 copies them into its increments, and integrate_sqrt in process brackets
 them straight into its own, so no whole drawn dw is held beside an output.
@@ -149,11 +153,31 @@ def cumulative_terminal(increments: np.ndarray) -> np.ndarray:
     return out
 
 
-def make_rng(seed: SeedSpec) -> Generator:
+def make_rng(seed: SeedSpec, rng: Generator | None = None) -> Generator:
     """Counter-based generator for one path; streams for distinct
-    (master_seed, path_index) pairs are independent by construction."""
-    key = np.array([seed.master_seed, seed.path_index], dtype=np.uint64)
-    return Generator(Philox(key=key))
+    (master_seed, path_index) pairs are independent by construction.
+
+    Given a Philox-backed rng, re-keys it in place and returns it: its state
+    becomes that of a freshly keyed generator (counter 0, empty output
+    buffer), so it draws the same bits at a fraction of the cost of
+    building a new generator, which first gathers OS entropy only for the
+    key to override it.  draw_blocks keys every row through here, once per
+    row, so the benchmark's count of make_rng calls stays the count of
+    streams.
+    """
+    if rng is None:
+        key = np.array([seed.master_seed, seed.path_index], dtype=np.uint64)
+        return Generator(Philox(key=key))
+    # plain lists: the state setter reads them faster than uint64 arrays
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": [seed.master_seed, seed.path_index]},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
 
 
 @dataclass(frozen=True)
@@ -249,10 +273,11 @@ class WienerEnsemble:
 
 def _draw_block(dt: float, n_steps: int, master_seed: int, rows: slice) -> tuple[slice, np.ndarray]:
     """rows and the increments of the streams SeedSpec(master_seed, p), p in
-    rows, one row each."""
+    rows, one row each, drawn by one generator re-keyed per row."""
     block = np.empty((rows.stop - rows.start, n_steps))
+    rng = Generator(Philox(0))  # its seed is overwritten by every row's key
     for p, row in zip(range(rows.start, rows.stop), block):
-        make_rng(SeedSpec(master_seed, p)).random(out=row)
+        make_rng(SeedSpec(master_seed, p), rng).random(out=row)
     return rows, _to_normal(block, dt)
 
 
@@ -266,8 +291,8 @@ def draw_blocks(
     This is the one loop that keys a stream per row.  The arguments are
     checked here, before any block is drawn, and the blocks are made only
     as they are read.  Workers, at most one per row and per CPU, draw the
-    same blocks in a process pool; because each row owns its own keyed
-    generator, the blocks are bit-identical for any worker count.
+    same blocks in a process pool; because each row's stream is set by its
+    key alone, the blocks are bit-identical for any worker count.
     """
     if n_rows < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_rows}")

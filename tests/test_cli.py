@@ -504,6 +504,14 @@ def test_fpsolve_outputs(tmp_path):
     assert report["self_convergence"]["ratio"] == pytest.approx(4.0, abs=0.5)
     profiles = [n for n in os.listdir(out) if n.startswith("fp_profile_t")]
     assert len(profiles) == 3
+    # the run itself against gaussian_packet at fp-time: 1.2e-3 at this
+    # size, against a modulus peak of 1.1; kept out of the manifest, so out
+    # of the CSV comment lines and config_digest
+    closed = report["closed_form_error"]
+    assert 0 < closed["l_inf_error"] <= 2e-3
+    assert 0 < closed["l2_error"] <= 2e-3
+    assert "closed_form_error" not in json.dumps(report["manifest"])
+    assert "closed_form_error" not in (out / "fp_profile_t0.5000.csv").read_text()
 
 
 def test_fpsolve_stability_violation_names_bound(tmp_path, capsys):
@@ -567,9 +575,11 @@ def test_one_ensemble_alive_at_a_time(tmp_path, command):
 @pytest.mark.parametrize("argv, flag", [
     (("kernels", "--x-points", "1000000000000", "--paths", "10", "--steps", "10"), "x-points"),
     (("fpsolve", "--grid-points", "1000000000000"), "grid-points"),
+    (("kernels", "--bins", "1000000000000", "--paths", "10", "--steps", "10"), "bins"),
 ], ids=lambda v: v[0] if isinstance(v, tuple) else None)
 def test_memory_error_names_the_grid_flag(tmp_path, capsys, argv, flag):
-    # a 7.28 TiB linspace: the message names the grid flag, not the ensemble
+    # a 7.28 TiB linspace of points or of bin edges (the histograms' come
+    # after both draws): the message names the flag, not the ensemble
     out = tmp_path / "huge"
     code = run(*argv, "--output", str(out))
     err = capsys.readouterr().err

@@ -3,10 +3,11 @@ the sign / modulus / unit-phase sequences."""
 
 import csv
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sqrtwiener import (
@@ -23,6 +24,8 @@ from sqrtwiener import (
     sign_of,
     wiener_ensemble,
 )
+from numpy.random import Generator, Philox
+
 from sqrtwiener import paths
 
 DT = 0.001
@@ -65,6 +68,45 @@ def test_same_seed_identical_streams():
 def test_golden_uniform_stream():
     u = make_rng(SeedSpec(42, 0)).random(6)
     assert u.tolist() == GOLDEN_U42_0
+
+
+def _used_generator(use: int) -> Generator:
+    """A keyed generator that has drawn random(use) for use in 0..9, or one
+    uint32 for use == -1, which leaves half a 64-bit output buffered."""
+    rng = make_rng(SeedSpec(5, 6))
+    if use < 0:
+        rng.integers(0, 1000, dtype=np.uint32)
+        assert rng.bit_generator.state["has_uint32"] == 1
+    else:
+        rng.random(use)
+    return rng
+
+
+_UINT64 = st.integers(0, 2**64 - 1)
+
+
+@given(master_seed=_UINT64, path_index=_UINT64, use=st.integers(-1, 9),
+       n=st.integers(1, 99).filter(lambda n: n % 4))
+@example(master_seed=0, path_index=0, use=-1, n=5)
+@example(master_seed=2**64 - 1, path_index=2**64 - 1, use=3, n=7)
+@settings(max_examples=200, deadline=None)
+def test_rekeyed_generator_draws_the_fresh_stream(master_seed, path_index, use, n):
+    # a used generator holds a counter, a partly read output buffer and
+    # possibly a buffered uint32; re-keying must reset all of them
+    seed = SeedSpec(master_seed, path_index)
+    rng = _used_generator(use)
+    assert make_rng(seed, rng) is rng
+    assert rng.random(n).tobytes() == make_rng(seed).random(n).tobytes()
+
+
+def test_rekey_writes_every_field_of_the_philox_state():
+    # a numpy change to Philox's state layout fails here, not in a digest
+    rng = SimpleNamespace(bit_generator=SimpleNamespace(state=None))
+    written = make_rng(SeedSpec(1, 2), rng).bit_generator.state
+    fresh = Philox().state
+    assert written.keys() == fresh.keys()
+    assert written["state"].keys() == fresh["state"].keys()
+    assert written["bit_generator"] == fresh["bit_generator"]
 
 
 def test_distinct_streams_differ():
@@ -288,21 +330,37 @@ def test_wiener_ensemble_rejects_empty():
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize(
-    "n_rows, n_steps",
-    [(37, 1000), (3, paths._BLOCK_ELEMENTS + 5), (1, 64)],
-    ids=["partial-last-block", "one-row-blocks", "single-row"],
+    "n_rows, n_steps, n_blocks",
+    [(37, 1000, 3), (3, paths._BLOCK_ELEMENTS + 5, 3), (1, 64, 1), (40, 7, 1), (37, 1001, 3)],
+    ids=["partial-last-block", "one-row-blocks", "single-row", "one-block-odd-steps",
+         "shared-blocks-odd-steps"],
 )
-def test_draw_blocks_equal_the_per_path_streams(monkeypatch, pools_started, n_rows, n_steps, workers):
+def test_draw_blocks_equal_the_per_path_streams(
+    monkeypatch, pools_started, n_rows, n_steps, n_blocks, workers
+):
+    # rows that share a block share one re-keyed generator; at n_steps not
+    # a multiple of 4 each row leaves Philox's 4-value output buffer partly
+    # read, which the next row's keying must discard
     monkeypatch.setattr(paths.os, "cpu_count", lambda: 2)
+    keyed = []
+
+    def counting(seed, rng=None):
+        keyed.append(seed)
+        return make_rng(seed, rng)
+
+    monkeypatch.setattr(paths, "make_rng", counting)
     grid = TimeGrid(DT, n_steps)
     dw = wiener_ensemble(grid, n_rows, 9, workers=workers).dw
+    # one make_rng call per row, none for a block's generator: the count of
+    # streams the benchmark's replay reads
+    assert keyed == [SeedSpec(9, p) for p in range(n_rows)]
     for p in range(n_rows):
         assert dw[p].tobytes() == sample_wiener(grid, make_rng(SeedSpec(9, p))).dw.tobytes()
-    # 37 rows of 1000 steps: blocks of 16, 16 and 5 rows; above the block
-    # budget every block is one row
+    # 37 rows of 1000 or 1001 steps: blocks of 16, 16 and 5 rows; above the
+    # block budget every block is one row
     blocks = [rows for rows, _ in paths.draw_blocks(grid, n_rows, 9, workers=workers)]
     assert blocks == list(paths.row_blocks(*dw.shape))
-    assert len(blocks) == {37: 3, 3: 3, 1: 1}[n_rows]
+    assert len(blocks) == n_blocks
     assert pools_started == ([2, 2] if workers == 2 and n_rows > 1 else [])
 
 
