@@ -16,9 +16,10 @@ effective configuration is echoed into every manifest.  The defaults
 reproduce the reference Monte Carlo protocol (20000 paths of 1000 steps at
 dt = 0.001, mu0 = 1/2, beta = 0); a subcommand's own flags and defaults
 live in its argparse subparser only.  Exit codes: 0 success, 1 configuration
-error, library ValueError, arithmetic out of float range or not enough
-memory (the message names the sizes that failed: n_paths x n_steps,
-x-points or grid-points), 2 I/O error.  Every file is written to a
+error, library ValueError, arithmetic out of float range (also emitted
+numbers that are not all finite; the message names dt, mu0 and beta) or
+not enough memory (the message names the sizes that failed: n_paths x
+n_steps, x-points or grid-points), 2 I/O error.  Every file is written to a
 temporary file (process.replaced_atomically) and renamed into place, and a
 run makes its output directory only after its draws or its evolution
 succeeded.  A run writes its manifest last, after deleting the files that
@@ -52,7 +53,7 @@ import scipy
 from . import __version__
 from . import kernels as kn
 from . import stats as st
-from .paths import RNG_NAME, TimeGrid, cumulative_terminal, wiener_ensemble
+from .paths import RNG_NAME, TimeGrid, cumulative_terminal, row_blocks, wiener_ensemble
 from .process import (
     SqrtParams,
     array_digest,
@@ -146,7 +147,6 @@ class RunConfig:
     mu0: float = 0.5
     beta: float = 0.0
     seed: int = 1
-    threads: int | None = None
     output_dir: str | None = None
     compress: bool = True
     csv_max_paths: int | None = None
@@ -168,8 +168,6 @@ class RunConfig:
             raise ConfigError("mu0 must be nonzero")
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must fit in 64 unsigned bits, got {self.seed}")
-        if self.threads is not None and self.threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {self.threads}")
         if self.csv_max_paths is not None and self.csv_max_paths < 1:
             raise ConfigError(f"csv-paths must be >= 1, got {self.csv_max_paths}")
 
@@ -182,18 +180,10 @@ class RunConfig:
     def params(self) -> SqrtParams:
         return SqrtParams(float(self.mu0), float(self.beta))
 
-    @property
-    def workers(self) -> int:
-        """Worker processes for the draws: one unless threads is set (the
-        pool has not beaten serial at the reference protocol)."""
-        return self.threads or 1
-
     def digest(self) -> str:
-        """Hash of the fields that determine emitted numbers; scheduling
-        (threads) and placement (output_dir) are excluded so reruns and
-        worker-count changes leave output bytes untouched."""
+        """Hash of the fields that determine emitted numbers: all but
+        output_dir, so a rerun elsewhere gives the same bytes."""
         payload = dataclasses.asdict(self)
-        payload.pop("threads")
         payload.pop("output_dir")
         blob = json.dumps(payload, sort_keys=True).encode()
         return "sha256:" + hashlib.sha256(blob).hexdigest()
@@ -275,8 +265,8 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _peak_rss_mb() -> float | None:
-    """This process's peak RSS in MiB (worker processes not included), or
-    None where the platform has no resource module."""
+    """This process's peak RSS in MiB (every draw runs in it), or None
+    where the platform has no resource module."""
     try:
         import resource
     except ImportError:
@@ -309,6 +299,14 @@ def _write_manifest(out: Path, manifest: dict, reports: dict[str, dict] | None =
         if temporary_target(path.name) in listed and path.is_file():
             path.unlink()
     _write_json(out / "manifest.json", manifest)
+
+
+def _require_finite(what: str, values: np.ndarray) -> None:
+    """Raise FloatingPointError, which main reports naming dt, mu0 and beta,
+    unless all values (1-D or 2-D, read a row block at a time) are finite."""
+    values = values.reshape(len(values), -1)
+    if not all(np.isfinite(values[rows]).all() for rows in row_blocks(*values.shape)):
+        raise FloatingPointError(f"the {what} are not all finite")
 
 
 def _stat_row(row: str, s: st.SummaryStats) -> list:
@@ -344,7 +342,8 @@ def ensemble_csv_name(rows: int, compress: bool) -> str:
 
 
 def cmd_simulate(config: RunConfig, args: argparse.Namespace) -> int:
-    ens = integrate_sqrt(config.grid, config.n_paths, config.params, config.seed, config.workers)
+    ens = integrate_sqrt(config.grid, config.n_paths, config.params, config.seed)
+    _require_finite("square-root increments", ens.increments)
     digest = ensemble_digest(ens)
     manifest = make_manifest("simulate", config, digest)
     out = _prepare_output(config)
@@ -372,13 +371,16 @@ def cmd_table1(config: RunConfig, args: argparse.Namespace) -> int:
             f"n_paths = {config.n_paths} x n_steps = {config.n_steps}"
         )
     # each ensemble is reduced, digested and dropped before the next is drawn
-    ens = wiener_ensemble(config.grid, config.n_paths, config.seed, config.workers)
+    ens = wiener_ensemble(config.grid, config.n_paths, config.seed)
     brownian, wiener_digest = st.table1_statistics(ens, config.params), ensemble_digest(ens)
     del ens
-    ens = integrate_sqrt(config.grid, config.n_paths, config.params, config.seed, config.workers)
+    ens = integrate_sqrt(config.grid, config.n_paths, config.params, config.seed)
     table = st.Table1Stats(brownian, st.table1_statistics(ens, config.params))
     digest = ensemble_digest(ens)
     del ens
+    reported = [z for s in table.brownian + table.square_root
+                for c in (s.mean, s.pseudo_variance, s.diffusion) for z in (c.value, c.stderr)]
+    _require_finite("table1 statistics", np.array(reported))
 
     manifest = make_manifest("table1", config, digest, wiener_digest=wiener_digest)
     comments = manifest_header_lines(manifest)
@@ -465,10 +467,11 @@ def cmd_kernels(config: RunConfig, args: argparse.Namespace) -> int:
     # empirical side: Wiener terminal values, and Wick-rotated squared
     # square-root terminal values (interpretation recorded in the manifest);
     # the Wiener ensemble is dropped before the square-root one is drawn
-    w_term = cumulative_terminal(
-        wiener_ensemble(config.grid, config.n_paths, config.seed, config.workers).dw)
-    sqrt_ens = integrate_sqrt(config.grid, config.n_paths, config.params, config.seed, config.workers)
+    w_term = cumulative_terminal(wiener_ensemble(config.grid, config.n_paths, config.seed).dw)
+    sqrt_ens = integrate_sqrt(config.grid, config.n_paths, config.params, config.seed)
     wick_emp = kn.wick_rotate_samples(kn.square_samples(sqrt_ens.terminal_values))
+    _require_finite("Wiener terminal values", w_term)
+    _require_finite("Wick-rotated squared terminal values", wick_emp)
 
     with _memory_for(f"bins = {bins}"):
         hist_w = st.build_histogram(w_term, bins, normalization="density")
@@ -690,8 +693,6 @@ def _build_parser() -> _Parser:
     common.add_argument("--mu0", type=_finite_float, default=None, help="scale factor")
     common.add_argument("--beta", type=_finite_float, default=None, help="drift constant")
     common.add_argument("--seed", type=int, default=None, help="master seed (uint64)")
-    common.add_argument("--threads", type=int, default=None,
-                        help="worker processes, default 1 (never changes emitted numbers)")
     common.add_argument("--output", dest="output_dir", metavar="OUTPUT", type=str, default=None,
                         help="output directory")
     common.add_argument("--config", type=str, default=None, help="JSON config file")

@@ -13,10 +13,10 @@ event has probability zero for continuous draws anyway.
 Reproducibility contract: every path owns a counter-based Philox stream
 keyed directly by (master_seed, path_index), and every increment consumes
 exactly one uniform draw mapped through the inverse normal CDF.  Streams are
-therefore independent across paths and bit-stable across platforms, path
-order, and worker counts.  draw_blocks is the one loop that keys and draws
-these streams: it yields the increments one row block of row_blocks at a
-time, and the whole block is then mapped to normals in place (_to_normal,
+therefore independent across paths and bit-stable across platforms and path
+order.  draw_blocks is the one loop that keys and draws these streams, in
+the calling process: it yields the increments one row block of row_blocks at
+a time, and the whole block is then mapped to normals in place (_to_normal,
 which sample_wiener shares).  A block builds one generator and make_rng
 re-keys it for each row: a Philox stream is a pure function of its key and
 counter, so setting both gives the bits of a freshly keyed generator without
@@ -36,10 +36,7 @@ allocated per call, not into new arrays per block.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from typing import Iterator
 
 import numpy as np
@@ -282,7 +279,7 @@ def _draw_block(dt: float, n_steps: int, master_seed: int, rows: slice) -> tuple
 
 
 def draw_blocks(
-    grid: TimeGrid, n_rows: int, master_seed: int, workers: int = 1
+    grid: TimeGrid, n_rows: int, master_seed: int
 ) -> Iterator[tuple[slice, np.ndarray]]:
     """(rows, dw) for each row block of row_blocks over (n_rows, n_steps):
     dw holds the increments of the streams SeedSpec(master_seed, p) for p in
@@ -290,31 +287,28 @@ def draw_blocks(
 
     This is the one loop that keys a stream per row.  The arguments are
     checked here, before any block is drawn, and the blocks are made only
-    as they are read.  Workers, at most one per row and per CPU, draw the
-    same blocks in a process pool; because each row's stream is set by its
-    key alone, the blocks are bit-identical for any worker count.
+    as they are read.
     """
     if n_rows < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_rows}")
     SeedSpec(master_seed)  # range check
-    workers = min(workers or 1, n_rows, os.cpu_count() or 1)
     blocks = row_blocks(n_rows, grid.n_steps)
-    draw = partial(_draw_block, grid.dt, grid.n_steps, master_seed)
-    if workers <= 1:
-        return map(draw, blocks)
-    return _pooled(draw, blocks, workers)
+    return (_draw_block(grid.dt, grid.n_steps, master_seed, rows) for rows in blocks)
 
 
-def _pooled(draw, blocks: Iterator[slice], workers: int) -> Iterator[tuple[slice, np.ndarray]]:
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(draw, blocks)
+def serial_only(workers: int) -> None:
+    """Refuse any worker count but 1.  The keyword remains only because the
+    benchmark's replay passes workers=1; ROADMAP item 1(b) deletes it."""
+    if workers != 1:
+        raise ValueError(f"workers must be 1 (draws are serial), got {workers!r}")
 
 
 def wiener_ensemble(
     grid: TimeGrid, n_paths: int, master_seed: int, workers: int = 1
 ) -> WienerEnsemble:
     """n_paths independent Wiener paths, row p copied from stream p's block."""
-    blocks = draw_blocks(grid, n_paths, master_seed, workers)
+    serial_only(workers)
+    blocks = draw_blocks(grid, n_paths, master_seed)
     dw = np.empty((n_paths, grid.n_steps))
     for rows, block in blocks:
         dw[rows] = block

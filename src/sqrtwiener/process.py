@@ -50,6 +50,7 @@ from .paths import (
     cumulative_terminal,
     draw_blocks,
     phi_half,
+    serial_only,
 )
 
 __all__ = [
@@ -207,15 +208,16 @@ def integrate_sqrt(
     Path p consumes the Wiener stream of SeedSpec(master_seed, p) -- the same
     stream wiener_ensemble(grid, n_paths, master_seed) row p is built from, so
     paired Wiener/square-root ensembles share their driving noise.  The result
-    is a pure function of (grid, n_paths, params, master_seed); workers only
-    split the path range.
+    is a pure function of (grid, n_paths, params, master_seed).  workers
+    must be 1 (paths.serial_only).
     """
+    serial_only(workers)
     if params.beta != 0.0 and params.mu0 != 0.5:
         raise ValueError(
             "beta != 0 requires mu0 = 1/2 (the drifted step is only derived there)"
         )
     step = sqrt_step_drifted if params.mu0 == 0.5 else sqrt_step_scalar
-    blocks = draw_blocks(grid, n_paths, master_seed, workers)
+    blocks = draw_blocks(grid, n_paths, master_seed)
     inc = np.empty((n_paths, grid.n_steps), dtype=np.complex128)
     phase = block_scratch(n_paths, grid.n_steps, np.complex128)
     for rows, dw in blocks:

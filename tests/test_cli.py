@@ -105,19 +105,6 @@ def test_unwritable_output_exits_2(tmp_path, capsys):
     assert "i/o error" in capsys.readouterr().err
 
 
-def test_threads_do_not_change_digest(tmp_path):
-    outs = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"t{threads}"
-        assert run("simulate", "--paths", "50", "--steps", "40", "--seed", "5",
-                   "--threads", threads, "--output", str(out)) == 0
-        outs.append(json.loads((out / "manifest.json").read_text()))
-    assert outs[0]["increment_digest"] == outs[1]["increment_digest"]
-    a = (tmp_path / "t1" / "ensemble.csv").read_bytes()
-    b = (tmp_path / "t2" / "ensemble.csv").read_bytes()
-    assert a == b
-
-
 def test_config_file_and_flag_precedence(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n_paths": 30, "n_steps": 12, "seed": 77}))
@@ -135,6 +122,40 @@ def test_config_file_unknown_key_rejected(tmp_path, capsys):
     cfg.write_text(json.dumps({"paths": 30}))
     assert run("simulate", "--config", str(cfg), "--output", str(tmp_path / "o")) == 1
     assert "unknown config key" in capsys.readouterr().err
+
+
+def test_threads_is_refused_as_a_config_key_and_a_flag(tmp_path, capsys):
+    # draws run in this process only; an old config or command line that
+    # asks for worker processes fails instead of being ignored
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_paths": 3, "n_steps": 4, "threads": 2}))
+    out = tmp_path / "o"
+    assert run("simulate", "--config", str(cfg), "--output", str(out)) == 1
+    assert "unknown config keys: ['threads']" in capsys.readouterr().err
+    assert run("simulate", "--paths", "3", "--steps", "4", "--threads", "2",
+               "--output", str(out)) == 1
+    assert "--threads" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# config_digest of the defaults and of a file setting every field: a change to
+# which fields enter the digest, or to how they are serialised, fails here
+_DEFAULT_CONFIG_DIGEST = "sha256:1dafe4d543cb3ca2b96fb969b6d7477d8473560a84465133984267564ad4c484"
+_EVERY_FIELD_CONFIG_DIGEST = (
+    "sha256:d6cfc76663db6cc631da511b295867f706db6938b9c2af0cbcda18b50fa513c9"
+)
+
+
+def test_config_digests_are_pinned(tmp_path, monkeypatch):
+    assert RunConfig().digest() == _DEFAULT_CONFIG_DIGEST
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({
+        "n_paths": 3, "n_steps": 4, "dt": 0.002, "mu0": 0.7, "beta": 0.0, "seed": 123,
+        "output_dir": "o", "compress": False, "csv_max_paths": 2,
+    }))
+    assert run("simulate", "--config", "cfg.json") == 0
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["config_digest"] == _EVERY_FIELD_CONFIG_DIGEST
 
 
 def test_config_file_must_be_an_object(tmp_path, capsys):
@@ -161,7 +182,6 @@ def test_rng_label_is_not_configurable(tmp_path, capsys):
     ("n_paths", True),
     ("n_paths", "20"),
     ("seed", 1.0),
-    ("threads", 1.5),
     ("csv_max_paths", False),
     ("compress", 1),
     ("dt", "0.001"),
@@ -174,8 +194,7 @@ def test_config_value_types_checked(tmp_path, capsys, monkeypatch, field, value)
     monkeypatch.chdir(tmp_path)
     cfg = {"n_paths": 3, "n_steps": 4, "output_dir": "o", field: value}
     (tmp_path / "cfg.json").write_text(json.dumps(cfg))
-    threads = [] if field == "threads" else ["--threads", "2"]
-    assert run("simulate", "--config", "cfg.json", *threads) == 1
+    assert run("simulate", "--config", "cfg.json") == 1
     assert field in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
@@ -270,7 +289,7 @@ def test_failed_write_keeps_the_earlier_file_and_no_temporary(tmp_path):
 @pytest.mark.parametrize("command", ["simulate", "table1", "kernels"])
 def test_manifest_records_peak_rss_and_versions(tmp_path, command):
     out = tmp_path / "run"
-    argv = (command, "--paths", "40", "--steps", "16", "--threads", "1", "--output", str(out))
+    argv = (command, "--paths", "40", "--steps", "16", "--output", str(out))
     assert run(*argv) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["peak_rss_mb"] > 0
@@ -470,6 +489,24 @@ def test_fpsolve_refuses_mass_leaking_through_the_boundary(tmp_path, capsys):
              "grid-points = 8192, fp-time = 1.0 and fp-dt = 0.0005")
 
 
+@pytest.mark.parametrize("argv, field", [
+    (("simulate", "--paths", "2", "--steps", "3", "--mu0", "1e-105"),
+     "dt = 0.001, mu0 = 1e-105 and beta = 0.0"),
+    (("table1", "--paths", "50", "--steps", "10", "--mu0", "1e-105"),
+     "dt = 0.001, mu0 = 1e-105 and beta = 0.0"),
+    (("table1", "--paths", "50", "--steps", "10", "--beta", "1e308", "--dt", "10"),
+     "dt = 10.0, mu0 = 0.5 and beta = 1e+308"),
+    (("kernels", "--paths", "50", "--steps", "10", "--dt", "1e300"),
+     "dt = 1e+300, mu0 = 0.5 and beta = 0.0"),
+    (("kernels", "--paths", "50", "--steps", "10", "--mu0", "1e-105"),
+     "dt = 0.001, mu0 = 1e-105 and beta = 0.0"),
+], ids=["simulate-mu0", "table1-mu0", "table1-beta-dt", "kernels-dt", "kernels-mu0"])
+def test_runs_whose_numbers_leave_float_range_are_refused(tmp_path, capsys, argv, field):
+    # finite flags whose increments, statistics or terminal samples are inf
+    # or nan: the run emits nothing rather than a file of nan
+    _refused(tmp_path, capsys, argv, field)
+
+
 def _no_evolution(*args, **kwargs):
     raise AssertionError("evolved a profile for a run that must be refused")
 
@@ -541,11 +578,11 @@ def test_fpsolve_final_profile_golden_digest(tmp_path):
 
 
 def test_memory_error_exits_1_naming_the_size(tmp_path, capsys):
-    # one worker: the ensemble array is allocated at once in this process;
-    # the output directory is made only after the draws succeed
+    # the ensemble array is allocated at once in this process; the output
+    # directory is made only after the draws succeed
     for command in ("simulate", "table1"):
         out = tmp_path / command
-        code = run(command, "--paths", "1000000000000", "--threads", "1", "--output", str(out))
+        code = run(command, "--paths", "1000000000000", "--output", str(out))
         err = capsys.readouterr().err
         assert code == 1, command
         assert "n_paths = 1000000000000" in err and "n_steps = 1000" in err
@@ -652,7 +689,6 @@ _SMALL_VALID = {
     "mu0": hs.sampled_from([0.5, 0.7, -1.3]) | hs.floats(-2.0, 2.0).filter(bool),
     "beta": hs.just(0.0) | hs.floats(-1.0, 1.0),
     "seed": hs.integers(0, 2**64 - 1),
-    "threads": hs.none() | hs.integers(1, 2),
     "compress": hs.booleans(),
     "csv_max_paths": hs.none() | hs.integers(1, 30),
     # relative names only (and no other string), so every run stays in its

@@ -39,6 +39,22 @@ def test_every_exported_and_imported_name_resolves(name):
                 )
 
 
+@pytest.mark.parametrize("name", MODULES)
+def test_no_module_starts_worker_processes(name):
+    # draws run in the calling process: a worker pool never beat serial
+    # drawing in the benchmark, so another draw path must come with a
+    # benchmark that shows it winning
+    tree = ast.parse(Path(importlib.import_module(name).__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            imported.add(node.module)
+    pools = {m for m in imported if m.partition(".")[0] in ("concurrent", "multiprocessing")}
+    assert not pools, f"{name} imports {sorted(pools)}"
+
+
 REPLAY = Path(__file__).resolve().parents[1] / "perfbench" / "replay.py"
 
 

@@ -265,83 +265,21 @@ def test_wiener_ensemble_matches_per_path_streams():
         assert ens.dw[p].tobytes() == w.dw.tobytes()
 
 
-def test_wiener_ensemble_worker_count_is_invisible():
-    grid = TimeGrid(DT, 32)
-    one = wiener_ensemble(grid, 9, master_seed=3, workers=1)
-    two = wiener_ensemble(grid, 9, master_seed=3, workers=2)
-    assert one.dw.tobytes() == two.dw.tobytes()
-
-
-@pytest.fixture
-def pools_started(monkeypatch):
-    """The max_workers of every process pool draw_blocks starts, run
-    serially in this process instead."""
-    started = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(paths, "ProcessPoolExecutor", RecordingPool)
-    return started
-
-
-def test_worker_count_capped_by_rows_and_cpus(monkeypatch, pools_started):
-    started = pools_started
-    monkeypatch.setattr(paths.os, "cpu_count", lambda: 3)
-    grid = TimeGrid(DT, 16)
-    serial = wiener_ensemble(grid, 50, master_seed=3, workers=1)
-    assert started == []
-    capped = wiener_ensemble(grid, 50, master_seed=3, workers=10_000)
-    assert started == [3]
-    assert capped.dw.tobytes() == serial.dw.tobytes()
-    wiener_ensemble(grid, 2, master_seed=3, workers=10_000)
-    assert started == [3, 2]
-    monkeypatch.setattr(paths.os, "cpu_count", lambda: None)
-    wiener_ensemble(grid, 50, master_seed=3, workers=10_000)
-    assert started == [3, 2]
-
-
-def test_cli_draws_serially_unless_threads_given(tmp_path, monkeypatch, pools_started):
-    from sqrtwiener.cli import RunConfig, main
-
-    monkeypatch.setattr(paths.os, "cpu_count", lambda: 4)
-    assert RunConfig().workers == 1
-    argv = ["simulate", "--paths", "50", "--steps", "16"]
-    assert main(argv + ["--output", str(tmp_path / "serial")]) == 0
-    assert pools_started == []
-    assert main(argv + ["--threads", "2", "--output", str(tmp_path / "pool")]) == 0
-    assert pools_started == [2]
-
-
 def test_wiener_ensemble_rejects_empty():
     with pytest.raises(ValueError):
         wiener_ensemble(TimeGrid(DT, 4), 0, master_seed=1)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize(
     "n_rows, n_steps, n_blocks",
     [(37, 1000, 3), (3, paths._BLOCK_ELEMENTS + 5, 3), (1, 64, 1), (40, 7, 1), (37, 1001, 3)],
     ids=["partial-last-block", "one-row-blocks", "single-row", "one-block-odd-steps",
          "shared-blocks-odd-steps"],
 )
-def test_draw_blocks_equal_the_per_path_streams(
-    monkeypatch, pools_started, n_rows, n_steps, n_blocks, workers
-):
+def test_draw_blocks_equal_the_per_path_streams(monkeypatch, n_rows, n_steps, n_blocks):
     # rows that share a block share one re-keyed generator; at n_steps not
     # a multiple of 4 each row leaves Philox's 4-value output buffer partly
     # read, which the next row's keying must discard
-    monkeypatch.setattr(paths.os, "cpu_count", lambda: 2)
     keyed = []
 
     def counting(seed, rng=None):
@@ -350,7 +288,7 @@ def test_draw_blocks_equal_the_per_path_streams(
 
     monkeypatch.setattr(paths, "make_rng", counting)
     grid = TimeGrid(DT, n_steps)
-    dw = wiener_ensemble(grid, n_rows, 9, workers=workers).dw
+    dw = wiener_ensemble(grid, n_rows, 9).dw
     # one make_rng call per row, none for a block's generator: the count of
     # streams the benchmark's replay reads
     assert keyed == [SeedSpec(9, p) for p in range(n_rows)]
@@ -358,22 +296,34 @@ def test_draw_blocks_equal_the_per_path_streams(
         assert dw[p].tobytes() == sample_wiener(grid, make_rng(SeedSpec(9, p))).dw.tobytes()
     # 37 rows of 1000 or 1001 steps: blocks of 16, 16 and 5 rows; above the
     # block budget every block is one row
-    blocks = [rows for rows, _ in paths.draw_blocks(grid, n_rows, 9, workers=workers)]
+    blocks = [rows for rows, _ in paths.draw_blocks(grid, n_rows, 9)]
     assert blocks == list(paths.row_blocks(*dw.shape))
     assert len(blocks) == n_blocks
-    assert pools_started == ([2, 2] if workers == 2 and n_rows > 1 else [])
 
 
 @pytest.mark.parametrize("n_rows, seed", [(0, 1), (-2, 1), (5, -1), (5, 2**64)])
-def test_draw_arguments_are_checked_before_any_draw(monkeypatch, pools_started, n_rows, seed):
-    monkeypatch.setattr(paths.os, "cpu_count", lambda: 2)
+def test_draw_arguments_are_checked_before_any_draw(monkeypatch, n_rows, seed):
     keyed = []
     monkeypatch.setattr(paths, "make_rng", keyed.append)
     grid = TimeGrid(DT, 16)
     with pytest.raises(ValueError):
-        paths.draw_blocks(grid, n_rows, seed, workers=2)  # not iterated
+        paths.draw_blocks(grid, n_rows, seed)  # not iterated
     with pytest.raises(ValueError):
-        wiener_ensemble(grid, n_rows, seed, workers=2)
+        wiener_ensemble(grid, n_rows, seed)
     with pytest.raises(ValueError):
-        integrate_sqrt(grid, n_rows, SqrtParams(), seed, workers=2)
-    assert keyed == [] and pools_started == []
+        integrate_sqrt(grid, n_rows, SqrtParams(), seed)
+    assert keyed == []
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+def test_builders_refuse_any_worker_count_but_one(monkeypatch, workers):
+    # draws run in the calling process only; workers=1 is accepted because
+    # the benchmark's replay passes it
+    keyed = []
+    monkeypatch.setattr(paths, "make_rng", keyed.append)
+    grid = TimeGrid(DT, 16)
+    with pytest.raises(ValueError, match="workers"):
+        wiener_ensemble(grid, 5, 1, workers=workers)
+    with pytest.raises(ValueError, match="workers"):
+        integrate_sqrt(grid, 5, SqrtParams(), 1, workers=workers)
+    assert keyed == []

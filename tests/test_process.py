@@ -180,12 +180,6 @@ def test_increment_phase_matches_increment_sign():
         assert np.all(inc.real[~pos] == 0) and np.all(inc.imag[~pos] > 0)
 
 
-def test_integrate_worker_count_is_invisible():
-    e1 = integrate_sqrt(TimeGrid(DT, 64), 10, SqrtParams(), 5, workers=1)
-    e2 = integrate_sqrt(TimeGrid(DT, 64), 10, SqrtParams(), 5, workers=3)
-    assert e1.increments.tobytes() == e2.increments.tobytes()
-
-
 def test_integrate_rejects_bad_config():
     with pytest.raises(ValueError):
         integrate_sqrt(GRID, 0, SqrtParams(), 1)
@@ -229,8 +223,8 @@ def test_csv_roundtrip_and_summary(tmp_path):
 
 
 # Digests of the square-root ensembles, computed before the per-path loops
-# were merged; every bracket, scale and worker count must keep them.  300
-# rows of 64 steps span more than one step block.
+# were merged; every bracket and scale must keep them.  300 rows of 64 steps
+# span more than one step block.
 GOLDEN_GRID = TimeGrid(DT, 64)
 GOLDEN_DIGESTS = {
     (0.5, 0.0): "1e437ec3e8cbe21b4dba3032a6bfeef6b6d0aea11aecce1cd8cd02288c8ff2ca",
@@ -240,10 +234,9 @@ GOLDEN_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("case", list(GOLDEN_DIGESTS), ids=str)
-def test_golden_sqrt_digests(case, workers):
-    ens = integrate_sqrt(GOLDEN_GRID, 300, SqrtParams(*case), 7, workers=workers)
+def test_golden_sqrt_digests(case):
+    ens = integrate_sqrt(GOLDEN_GRID, 300, SqrtParams(*case), 7)
     assert ensemble_digest(ens) == "sha256:" + GOLDEN_DIGESTS[case]
 
 
