@@ -389,10 +389,11 @@ def cmd_table1(config: RunConfig, args: argparse.Namespace) -> int:
     csv_path = out / "table1.csv"
     rows = [_stat_row("brownian", s) for s in table.brownian]
     rows += [_stat_row("square_root", s) for s in table.square_root]
+    row_template = "%s,%s" + ",%.17g" * 8 + "\n"
     write_csv(
         csv_path, comments,
         "row,estimator_tag,mean_re,mean_im,stderr_re,stderr_im,var_re,var_im,D_re,D_im",
-        "%s,%s" + ",%.17g" * 8 + "\n", rows,
+        (row_template % tuple(row) for row in rows),
     )
 
     bro = table.by_tag("brownian", st.TAG_PAPER_REPORTED)
@@ -503,15 +504,16 @@ def cmd_kernels(config: RunConfig, args: argparse.Namespace) -> int:
     comments = manifest_header_lines(manifest)
     out = _prepare_output(config)
 
+    curves = [x, osc.real, osc.imag, np.abs(osc), heat, wick]
     write_csv(
-        out / "kernel_curves.csv", comments, "x,re,im,modulus,heat,wick", "%.17g," * 5 + "%.17g\n",
-        column_blocks([x, osc.real, osc.imag, np.abs(osc), heat, wick]),
+        out / "kernel_curves.csv", comments, "x,re,im,modulus,heat,wick",
+        column_blocks(curves, "%.17g," * 5 + "%.17g\n"),
     )
     for name, h in (("hist_wiener_terminal.csv", hist_w), ("hist_sqrt_wick.csv", hist_s)):
         columns = [h.bin_edges[:-1], h.bin_edges[1:], h.counts, h.density()]
         write_csv(
-            out / name, comments, "bin_lo,bin_hi,count,density", "%.17g,%.17g,%d,%.17g\n",
-            column_blocks(columns),
+            out / name, comments, "bin_lo,bin_hi,count,density",
+            column_blocks(columns, "%.17g,%.17g,%d,%.17g\n"),
         )
 
     center_shift = fits.get("sqrt_wick_rotated", {}).get("center")
@@ -608,6 +610,14 @@ def cmd_fpsolve(config: RunConfig, args: argparse.Namespace) -> int:
         raise ConfigError(f"sigma0 = {sigma0} and fp-time = {fp_time} overflow the domain size")
     x = np.linspace(-half, half, grid_points)
     init = kn.GridFunction(-half, half, kn.gaussian_packet(x, 0.0, sigma0, p))
+    # a drift of large |beta| widens the domain until no grid point is near
+    # enough to the packet's centre to hold a nonzero amplitude
+    if not init.values.any():
+        raise ConfigError(
+            f"beta = {config.beta}, sigma0 = {sigma0}, fp-time = {fp_time} and "
+            f"grid-points = {grid_points}: the initial packet is 0 at every grid point "
+            f"(spacing {init.dx:.3g} on a domain of half-width {half:.3g})"
+        )
 
     n_steps = max(1, round(fp_time / fp_dt))
     dt_eff = fp_time / n_steps
@@ -642,8 +652,8 @@ def cmd_fpsolve(config: RunConfig, args: argparse.Namespace) -> int:
         name = f"fp_profile_t{t_prof:.4f}.csv"
         columns = [g.xs(), g.values.real, g.values.imag, np.abs(g.values)]
         write_csv(
-            out / name, comments, "x,re,im,modulus", "%.17g,%.17g,%.17g,%.17g\n",
-            column_blocks(columns),
+            out / name, comments, "x,re,im,modulus",
+            column_blocks(columns, "%.17g,%.17g,%.17g,%.17g\n"),
         )
         names.append(name)
 

@@ -272,11 +272,12 @@ def fp_evolve(initial: GridFunction, p: FPParams, dt: float, n_steps: int) -> Gr
     negligible at the boundary (|edge| <= 1e-8 * max|psi|), otherwise the
     pinned boundaries are wrong, mass leaks, and the run is refused.  After
     every step the points next to the boundaries must stay negligible too
-    (<= 1e-7 * max|psi|), or the evolution is refused as it goes.  The
-    tridiagonal matrix is factored once (LAPACK gttrf) per (grid size, dx,
-    dt, mu, D) and memoized, so a run of single-step calls factors once;
-    each step is then one gttrs solve.  A profile that leaves the finite
-    range raises ValueError.
+    (<= 1e-7 * max|psi|), or the evolution is refused as it goes; so is a
+    profile that is 0 at every grid point after a step.  The tridiagonal
+    matrix is factored once (LAPACK gttrf) per (grid size, dx, dt, mu, D)
+    and memoized, so a run of single-step calls factors once; each step is
+    then one gttrs solve.  A profile that leaves the finite range raises
+    ValueError.
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -307,7 +308,9 @@ def fp_evolve(initial: GridFunction, p: FPParams, dt: float, n_steps: int) -> Gr
         rhs[0] = rhs[-1] = 0.0
         psi, _ = _GTTRS(*factors, rhs, overwrite_b=1)
         near, peak = max(abs(psi[1]), abs(psi[-2])), np.abs(psi).max()
-        if peak == 0 or near > _NEAR_BOUNDARY_TOL * peak:
+        if peak == 0:
+            raise ValueError("the evolved profile is 0 at every grid point")
+        if near > _NEAR_BOUNDARY_TOL * peak:
             raise ValueError(
                 f"domain too narrow: an evolved amplitude next to the boundary, "
                 f"{near:.3g}, exceeds {_NEAR_BOUNDARY_TOL:g} * peak ({peak:.3g}), "

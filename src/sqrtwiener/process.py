@@ -24,9 +24,13 @@ the block's own rows of the output and multiplied by the phase in place.
 So the bracket allocates nothing per block, and its cost does not depend on
 whether the allocator kept the pages of the block before.
 Ensembles store only their increments; cumulative values are computed on
-read.  Every CSV goes through write_csv, every digest through array_digest,
-and every output file is written as .NAME.PID.tmp (spelled here only) and
-renamed into place.
+read.  Every CSV goes through write_csv, which writes text chunks of at most
+_CSV_BLOCK_ROWS whole rows: column_blocks formats a table's rows with one
+repeated row template, and ensemble_to_csv builds its step indices into a
+template once per call, so only re and im are formatted per row (the bytes
+are those of '%d,%d,%.17g,%.17g' row by row).  Every digest goes through
+array_digest, and every output file is written as .NAME.PID.tmp (spelled
+here only) and renamed into place.
 """
 
 from __future__ import annotations
@@ -266,24 +270,17 @@ def replaced_atomically(path) -> Iterator[str]:
         raise
 
 
-def write_csv(
-    path,
-    comments: Sequence[str],
-    header: str,
-    row_template: str,
-    blocks: Iterable[Sequence],
-) -> int:
-    """Write '# ' comment lines, a header line, then rows.
+def write_csv(path, comments: Sequence[str], header: str, chunks: Iterable[str]) -> int:
+    """Write '# ' comment lines, a header line, then the text chunks.
 
-    Each block is a flat sequence of values, row after row, formatted with
-    one %-operation of row_template repeated once per row.  The file is
-    gzipped when path ends with '.gz', deflated at level 1, the fastest:
-    level 9 took most of a large export's time for a file only about 10%
-    smaller, and the decompressed bytes are the same at every level.  The
-    file replaces path only once it is complete.  Returns the number of rows
-    written.
+    Each chunk is a run of whole rows, each ending in a newline, such as
+    column_blocks and ensemble_to_csv yield; .csv and .csv.gz files take
+    this one code path.  The file is gzipped when path ends with '.gz',
+    deflated at level 1, the fastest: level 9 took most of a large export's
+    time for a file only about 10% smaller, and the decompressed bytes are
+    the same at every level.  The file replaces path only once it is
+    complete.  Returns the number of rows written.
     """
-    width = row_template.count("%")
     rows = 0
     with replaced_atomically(path) as tmp, open(tmp, "wb") as raw:
         binary = raw
@@ -296,25 +293,27 @@ def write_csv(
         with io.TextIOWrapper(binary, newline="") as fh:
             fh.writelines(f"# {line}\n" for line in comments)
             fh.write(header + "\n")
-            for block in blocks:
-                n = len(block) // width
-                fh.write(row_template * n % tuple(block))
-                rows += n
+            for chunk in chunks:
+                fh.write(chunk)
+                rows += chunk.count("\n")
     return rows
 
 
-# Most rows a column_blocks block holds: bounds the values and formatted text
-# held at once, whatever the length of the columns.
+# Most rows a write_csv chunk holds: bounds the values and formatted text
+# held at once, whatever the length of the columns or the ensemble.
 _CSV_BLOCK_ROWS = 1024
 
 
-def column_blocks(columns: Sequence[np.ndarray]) -> Iterable[list]:
-    """write_csv blocks of equal-length numeric columns, read row by row."""
+def column_blocks(columns: Sequence[np.ndarray], row_template: str) -> Iterator[str]:
+    """write_csv chunks of equal-length numeric columns, read row by row.
+
+    Each chunk is up to _CSV_BLOCK_ROWS rows, formatted with one %-operation
+    of row_template repeated once per row.
+    """
     table = np.column_stack(columns)
-    return (
-        table[lo:lo + _CSV_BLOCK_ROWS].ravel().tolist()
-        for lo in range(0, len(table), _CSV_BLOCK_ROWS)
-    )
+    for lo in range(0, len(table), _CSV_BLOCK_ROWS):
+        block = table[lo:lo + _CSV_BLOCK_ROWS]
+        yield row_template * len(block) % tuple(block.ravel().tolist())
 
 
 def ensemble_to_csv(
@@ -328,16 +327,26 @@ def ensemble_to_csv(
     max_paths down-samples to the first paths only.  header_lines are emitted
     as leading '#' comments (used to reference the run manifest).  The writer
     transparently gzips when path ends with '.gz'.  Returns rows written.
+
+    The rows are written _CSV_BLOCK_ROWS at a time.  The text ',k,%.17g,%.17g'
+    of each step k is built once per call, and a block's template joins
+    those of its rows with their path index, so only re and im go through
+    %.17g, read from the interleaved (re, im) float64 view of the
+    increments.  The bytes are those of '%d,%d,%.17g,%.17g' formatted row by
+    row.
     """
     m = ensemble.n_paths if max_paths is None else min(max_paths, ensemble.n_paths)
     n = ensemble.grid.n_steps
-    steps, inc = np.arange(n), ensemble.increments
-    blocks = (
-        block
-        for p in range(m)
-        for block in column_blocks([np.full(n, p), steps, inc[p].real, inc[p].imag])
-    )
-    return write_csv(
-        path, header_lines, "path_index,step_index,re,im", "%d,%d,%.17g,%.17g\n", blocks
-    )
+    steps = [f",{k},%.17g,%.17g\n" for k in range(n)]
+    values = ensemble.increments[:m].reshape(-1).view(np.float64)
 
+    def chunks() -> Iterator[str]:
+        for lo in range(0, m * n, _CSV_BLOCK_ROWS):
+            hi = min(lo + _CSV_BLOCK_ROWS, m * n)
+            template = "".join(
+                f"{p}" + f"{p}".join(steps[max(lo - p * n, 0):hi - p * n])
+                for p in range(lo // n, (hi - 1) // n + 1)
+            )
+            yield template % tuple(values[2 * lo:2 * hi].tolist())
+
+    return write_csv(path, header_lines, "path_index,step_index,re,im", chunks())

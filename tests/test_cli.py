@@ -237,14 +237,14 @@ def test_gzip_header_names_the_final_file(tmp_path):
     from sqrtwiener.process import write_csv
 
     path = tmp_path / "ensemble.csv.gz"
-    write_csv(path, [], "a", "%d\n", [[1, 2]])
+    write_csv(path, [], "a", ["1\n2\n"])
     raw = path.read_bytes()
     assert raw[3] & 0x08  # FNAME flag
     assert raw[4:8] == bytes(4)  # no write time, so reruns give equal bytes
     assert raw[8] == 4  # XFL: deflated with the fastest level
     assert raw[10:raw.index(b"\0", 10)] == b"ensemble.csv"
     assert gzip.decompress(raw) == b"a\n1\n2\n"
-    write_csv(path, [], "a", "%d\n", [[1, 2]])
+    write_csv(path, [], "a", ["1\n2\n"])
     assert path.read_bytes() == raw
 
 
@@ -254,11 +254,47 @@ def test_gzipped_csv_decompresses_to_the_plain_bytes(tmp_path):
     rng = np.random.default_rng(11)
     columns = [np.arange(3000), rng.standard_normal(3000), rng.standard_normal(3000)]
     for name in ("t.csv", "t.csv.gz"):
-        write_csv(tmp_path / name, ["c=1"], "i,a,b", "%d,%.17g,%.17g\n",
-                  column_blocks(columns))
+        write_csv(tmp_path / name, ["c=1"], "i,a,b",
+                  column_blocks(columns, "%d,%.17g,%.17g\n"))
     plain = (tmp_path / "t.csv").read_bytes()
     assert gzip.decompress((tmp_path / "t.csv.gz").read_bytes()) == plain
     assert plain.count(b"\n") == 2 + 3000
+
+
+# SHA-256 of simulate's ensemble.csv, comment lines included, recorded while
+# every row was still formatted with "%d,%d,%.17g,%.17g\n": however the rows
+# are formatted, these bytes stay.  mu0 = -0.7 prints -0 real parts, and
+# 1500 steps cross a 1024-row text block.
+_SIMULATE_SMALL = ("simulate", "--paths", "3", "--steps", "40", "--seed", "5")
+ENSEMBLE_CSV_SHA256 = {
+    "drifted": ((), "b000930c65ffce308067df2ed123237de0d332e4c2c4420eb05e89c54e93d47f"),
+    "beta": (("--beta", "0.3"),
+             "62b267bdd4a48414aa67ab96cdf7fa71eb07473b3784ed0e46a0d5cd40c63dd1"),
+    "scalar": (("--mu0", "0.7"),
+               "e0dadabea0dc02973d8d99b106946ce870bd4429b29e7f38e83bacea356ac71c"),
+    "negative-scale": (("--mu0", "-0.7"),
+                       "72b729a2b79741685343ff00c860ab3a0074c33211cadd2b55b3031a3b0324ca"),
+    "long-paths": (("--paths", "2", "--steps", "1500"),
+                   "8f6dfef9f499eb69e6c81d0d75ab2a45d7d80b9b5e8f02441f7c78accb4c7a3f"),
+    "csv-paths": (("--paths", "5", "--csv-paths", "2"),
+                  "cd1b67eb7b3b98346b93a87f48d2ebcbbd8544ffba1d59e43ce1b1fa6cf7b510"),
+}
+
+
+@pytest.mark.parametrize("label", list(ENSEMBLE_CSV_SHA256))
+def test_ensemble_csv_bytes_are_pinned(tmp_path, monkeypatch, label):
+    flags, sha = ENSEMBLE_CSV_SHA256[label]
+    out = tmp_path / "plain"
+    assert run(*_SIMULATE_SMALL, *flags, "--output", str(out)) == 0
+    plain = (out / "ensemble.csv").read_bytes()
+    assert hashlib.sha256(plain).hexdigest() == sha
+    if label == "negative-scale":
+        assert b",-0," in plain
+    # the same run above the compression threshold gzips the same bytes
+    monkeypatch.setattr("sqrtwiener.cli.COMPRESS_ROW_THRESHOLD", 0)
+    out = tmp_path / "gzipped"
+    assert run(*_SIMULATE_SMALL, *flags, "--output", str(out)) == 0
+    assert gzip.decompress((out / "ensemble.csv.gz").read_bytes()) == plain
 
 
 def test_failed_write_keeps_the_earlier_file_and_no_temporary(tmp_path):
@@ -266,15 +302,15 @@ def test_failed_write_keeps_the_earlier_file_and_no_temporary(tmp_path):
     from sqrtwiener.process import write_csv
 
     def failing_blocks():
-        yield [3, 4]
+        yield "3\n4\n"
         raise RuntimeError("writer failed mid-write")
 
     for name in ("t.csv", "t.csv.gz"):
         path = tmp_path / name
-        write_csv(path, ["run 1"], "a", "%d\n", [[1, 2]])
+        write_csv(path, ["run 1"], "a", ["1\n2\n"])
         before = path.read_bytes()
         with pytest.raises(RuntimeError, match="mid-write"):
-            write_csv(path, ["run 2"], "a", "%d\n", failing_blocks())
+            write_csv(path, ["run 2"], "a", failing_blocks())
         assert path.read_bytes() == before
 
     path = tmp_path / "r.json"
@@ -487,6 +523,17 @@ def test_fpsolve_refuses_mass_leaking_through_the_boundary(tmp_path, capsys):
     _refused(tmp_path, capsys,
              ("fpsolve", "--grid-points", "8192", "--fp-time", "1.0", "--fp-dt", "0.0005"),
              "grid-points = 8192, fp-time = 1.0 and fp-dt = 0.0005")
+
+
+@pytest.mark.parametrize("beta", ["1e10", "1e308"])
+def test_fpsolve_refuses_an_initial_packet_that_vanishes(tmp_path, capsys, monkeypatch, beta):
+    # |drift| * fp-time widens the domain to about +-3.5e9 at beta = 1e10, a
+    # grid spacing of 1.1e8 against sigma0 = 0.3: the packet is 0 at every
+    # point, which is said before anything is evolved
+    monkeypatch.setattr("sqrtwiener.kernels.fp_evolve", _no_evolution)
+    _refused(tmp_path, capsys, ("fpsolve", "--beta", beta, "--grid-points", "64"),
+             f"beta = {float(beta)}, sigma0 = 0.3, fp-time = 0.5 and grid-points = 64: "
+             "the initial packet is 0 at every grid point")
 
 
 @pytest.mark.parametrize("argv, field", [

@@ -257,7 +257,8 @@ def test_evolve_rejects_narrow_domain():
     init = GridFunction(-2, 2, gaussian_packet(x, 0.0, 1.0, p))
     with pytest.raises(ValueError, match="boundary"):
         fp_evolve(init, p, 1e-4, 5)
-    with pytest.raises(ValueError, match="boundary"):  # no peak to compare with
+    # no peak to compare with: refused as a vanished profile, not a leak
+    with pytest.raises(ValueError, match="the evolved profile is 0 at every grid point"):
         fp_evolve(GridFunction(-2, 2, np.zeros(257, complex)), p, 1e-4, 5)
 
 

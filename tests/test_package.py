@@ -128,6 +128,23 @@ def test_benchmark_replay_names_resolve():
         for fn in targets[name]:
             inspect.signature(fn).bind(*call.args)  # raises TypeError on a mismatch
 
+    # the CSV replay calls process.ensemble_to_csv(ensemble, path, max_paths,
+    # header_lines) positionally and reports process.csv_rows from its return
+    # value (tests/test_process.py checks that value against the file)
+    csv_calls = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "ensemble_to_csv"
+    ]
+    assert len(csv_calls) == 1
+    call = csv_calls[0]
+    bound = inspect.signature(sqrtwiener.process.ensemble_to_csv).bind(
+        *call.args, **{kw.arg: kw.value for kw in call.keywords}
+    )
+    assert list(bound.arguments) == ["ensemble", "path", "max_paths", "header_lines"], (
+        ast.unparse(call)
+    )
+
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
     # only the Gaussian fits use scipy.optimize, and they import it themselves

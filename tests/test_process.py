@@ -1,6 +1,7 @@
 """Square-root process steps, the integrator, ensembles and digests."""
 
 import dataclasses
+import gzip
 import hashlib
 import tracemalloc
 
@@ -216,10 +217,53 @@ def test_csv_roundtrip_and_summary(tmp_path):
 
     gz = tmp_path / "ens.csv.gz"
     ensemble_to_csv(ens, gz, max_paths=2)
-    import gzip
-
     with gzip.open(gz, "rt") as fh:
         assert sum(1 for _ in fh) == 1 + 16  # header + 2 paths * 8 steps
+
+
+def _csv_table(path):
+    """The data rows of an ensemble CSV as (path, step, re, im) columns."""
+    raw = path.read_bytes()
+    text = (gzip.decompress(raw) if path.suffix == ".gz" else raw).decode()
+    rows = [line.split(",") for line in text.splitlines()
+            if not line.startswith("#")][1:]
+    p, k, re, im = zip(*rows)
+    return np.array(p, int), np.array(k, int), np.array(re, float), np.array(im, float)
+
+
+@pytest.mark.parametrize("n_paths, n_steps, max_paths", [
+    (3, 8, None), (3, 8, 2), (3, 8, 7), (2, 1500, None), (2, 1500, 1), (700, 3, None),
+])
+@pytest.mark.parametrize("name", ["ens.csv", "ens.csv.gz"])
+def test_ensemble_to_csv_returns_the_rows_it_wrote(tmp_path, n_paths, n_steps, max_paths, name):
+    # the benchmark's replay reports process.csv_rows from this return value
+    ens = integrate_sqrt(TimeGrid(DT, n_steps), n_paths, SqrtParams(), master_seed=2)
+    rows = ensemble_to_csv(ens, tmp_path / name, max_paths, ["probe=1"])
+    p, k, _, _ = _csv_table(tmp_path / name)
+    m = n_paths if max_paths is None else min(max_paths, n_paths)
+    assert rows == len(p) == m * n_steps
+    assert np.array_equal(p, np.repeat(np.arange(m), n_steps))
+    assert np.array_equal(k, np.tile(np.arange(n_steps), m))
+
+
+def test_csv_fields_parse_back_to_the_increment_bits(tmp_path):
+    # every re and im field is the increment to the bit, the sign of a zero
+    # included: drawn increments at a negative scale (their real parts are
+    # -0 where phi = i), and extreme values placed in a hand-built ensemble
+    drawn = integrate_sqrt(TimeGrid(DT, 50), 4, SqrtParams(mu0=-0.7), master_seed=5).increments
+    extremes = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                         1.7976931348623157e308, -np.inf, np.inf, 0.1, -1 / 3])
+    rng = np.random.default_rng(3)
+    built = np.empty((3, 50), np.complex128)
+    built.real, built.imag = rng.choice(extremes, (3, 50)), rng.choice(extremes, (3, 50))
+    for label, increments in (("drawn", drawn), ("built", built)):
+        ens = ComplexPathEnsemble(TimeGrid(DT, 50), increments)
+        ensemble_to_csv(ens, tmp_path / f"{label}.csv")
+        _, _, re, im = _csv_table(tmp_path / f"{label}.csv")
+        want = increments.reshape(-1)
+        assert np.array_equal(re.view(np.uint64), want.real.copy().view(np.uint64)), label
+        assert np.array_equal(im.view(np.uint64), want.imag.copy().view(np.uint64)), label
+    assert (np.signbit(drawn.real) & (drawn.real == 0)).any()
 
 
 # Digests of the square-root ensembles, computed before the per-path loops
