@@ -15,6 +15,7 @@ from .clifford import (
 )
 from .kernels import (
     FPParams,
+    FPWorkspace,
     GridFunction,
     fp_analytic_solution,
     fp_evolve,

@@ -609,7 +609,10 @@ def cmd_fpsolve(config: RunConfig, args: argparse.Namespace) -> int:
     if not math.isfinite(2 * half):
         raise ConfigError(f"sigma0 = {sigma0} and fp-time = {fp_time} overflow the domain size")
     x = np.linspace(-half, half, grid_points)
-    init = kn.GridFunction(-half, half, kn.gaussian_packet(x, 0.0, sigma0, p))
+    # far from the centre the exponent's square overflows to inf: those
+    # points are 0, and a packet 0 everywhere is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        init = kn.GridFunction(-half, half, kn.gaussian_packet(x, 0.0, sigma0, p))
     # a drift of large |beta| widens the domain until no grid point is near
     # enough to the packet's centre to hold a nonzero amplitude
     if not init.values.any():
@@ -621,20 +624,25 @@ def cmd_fpsolve(config: RunConfig, args: argparse.Namespace) -> int:
 
     n_steps = max(1, round(fp_time / fp_dt))
     dt_eff = fp_time / n_steps
-    # stepwise evolution to trace per-step mass conservation
-    masses = [kn.grid_integral(init)]
+    # stepwise evolution to trace per-step mass conservation; every step
+    # writes into one workspace, so the midpoint profile is copied out of it
+    workspace = kn.FPWorkspace(grid_points)
+    masses = [kn.grid_integral(init, workspace)]
     profiles = {0.0: init}
     current = init
     try:
         for k in range(n_steps):
-            current = kn.fp_evolve(current, p, dt_eff, 1)
-            masses.append(kn.grid_integral(current))
+            current = kn.fp_evolve(current, p, dt_eff, 1, workspace=workspace)
+            masses.append(kn.grid_integral(current, workspace))
             if k + 1 == n_steps // 2:
-                profiles[n_steps // 2 * dt_eff] = current
+                profiles[n_steps // 2 * dt_eff] = kn.GridFunction(
+                    current.x_min, current.x_max, current.values.copy()
+                )
     except ValueError as exc:
         raise ConfigError(
             f"grid-points = {grid_points}, fp-time = {fp_time} and fp-dt = {fp_dt}: {exc}"
         ) from exc
+    del workspace  # frees every buffer but the final profile's before the writes
     profiles[fp_time] = current
 
     mass_arr = np.array(masses)

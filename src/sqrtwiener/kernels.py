@@ -39,11 +39,14 @@ displacement rather than a nominal one.
 The Crank-Nicolson matrix depends only on (grid size, dx, dt, mu, D): it is
 factored once per such configuration and the read-only factors are memoized,
 so a caller that steps one call at a time pays one tridiagonal solve per
-step and no refactorization.
+step and no refactorization.  The step itself writes into buffers allocated
+once per fp_evolve call, or once per run when the caller passes an
+FPWorkspace it owns to every call.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 import numpy as np
@@ -53,6 +56,7 @@ from .process import SqrtParams
 
 __all__ = [
     "FPParams",
+    "FPWorkspace",
     "GridFunction",
     "schrodinger_kernel",
     "heat_kernel",
@@ -221,9 +225,38 @@ class GridFunction:
         return np.linspace(self.x_min, self.x_max, self.n_points)
 
 
-def grid_integral(g: GridFunction) -> complex:
-    """Trapezoid integral of the grid function (the conserved 'mass')."""
-    return complex(np.trapezoid(g.values, dx=g.dx))
+def grid_integral(g: GridFunction, workspace: FPWorkspace | None = None) -> complex:
+    """Trapezoid integral of the grid function (the conserved 'mass').
+
+    The pair sums are written into one buffer, the workspace's when one of
+    the grid's size is passed and the values are complex128, and the bits
+    are those of complex(np.trapezoid(g.values, dx=g.dx)).
+    """
+    y = g.values
+    if workspace is not None:
+        workspace.check(g.n_points)
+    dtype = np.result_type(y, g.dx)
+    if workspace is not None and workspace.sums.dtype == dtype:
+        pairs = workspace.sums
+    else:
+        pairs = np.empty(len(y) - 1, dtype)
+    np.add(y[1:], y[:-1], out=pairs)
+    np.multiply(g.dx, pairs, out=pairs)
+    if dtype == np.complex128:
+        # numpy divides a complex by 2.0 as ((re + im*0) * 0.5, (im - re*0) * 0.5).
+        # Halving each part alone, at a fifth of the cost, differs only in the
+        # sign of a zero part or where a part is not finite, so a sum finite
+        # and nonzero in both parts has the same bits; any other is redone
+        parts = pairs.view(np.float64)
+        np.multiply(parts, 0.5, out=parts)
+        mass = complex(pairs.sum(-1))
+        re, im = mass.real, mass.imag
+        if re and im and math.isfinite(re) and math.isfinite(im):
+            return mass
+        np.add(y[1:], y[:-1], out=pairs)
+        np.multiply(g.dx, pairs, out=pairs)
+    np.true_divide(pairs, 2.0, out=pairs)
+    return complex(pairs.sum(-1))
 
 
 # Largest amplitude, against the peak modulus, that fp_evolve accepts at the
@@ -263,7 +296,32 @@ def _cn_operator(n: int, dx: float, dt: float, drift: complex, diffusion: comple
     return (lo, di, up), tuple(factors)
 
 
-def fp_evolve(initial: GridFunction, p: FPParams, dt: float, n_steps: int) -> GridFunction:
+class FPWorkspace:
+    """Buffers of fp_evolve and grid_integral on a grid of n_points, 48
+    bytes a point: two profiles the steps alternate between, and the sums,
+    which hold the stencil sum of a step, then the modulus of its result
+    (read as floats), and grid_integral's pair sums between steps.  A caller
+    that passes one workspace to every call of a run allocates them once per
+    run; the profile that an fp_evolve call returns lives in the workspace
+    until a later call with it overwrites it."""
+
+    def __init__(self, n_points: int) -> None:
+        if n_points < 3:
+            raise ValueError(f"grid needs at least 3 points, got {n_points}")
+        self.n_points = n_points
+        self.profiles = (np.empty(n_points, np.complex128), np.empty(n_points, np.complex128))
+        self.sums = np.empty(n_points - 1, np.complex128)
+
+    def check(self, n_points: int) -> None:
+        """Refuse a grid of another size."""
+        if n_points != self.n_points:
+            raise ValueError(
+                f"the workspace holds {self.n_points} points, the grid has {n_points}"
+            )
+
+
+def fp_evolve(initial: GridFunction, p: FPParams, dt: float, n_steps: int,
+              workspace: FPWorkspace | None = None) -> GridFunction:
     """Advance d psi/dt = -mu d psi/dx + D d^2 psi/dx^2 by n_steps implicit
     time-centered (Crank-Nicolson) steps with boundary values pinned to 0.
 
@@ -278,11 +336,22 @@ def fp_evolve(initial: GridFunction, p: FPParams, dt: float, n_steps: int) -> Gr
     and memoized, so a run of single-step calls factors once; each step is
     then one gttrs solve.  A profile that leaves the finite range raises
     ValueError.
+
+    Each step writes into buffers allocated once per call.  A caller that
+    steps one call at a time passes the same workspace (an FPWorkspace of
+    the grid's size) to every call, so the buffers are allocated once per
+    run.  The returned values then live in the workspace: a later call with
+    it overwrites them, so copy any profile that must outlive the next call.
+    initial.values is never written, even when it is a workspace buffer (a
+    call of several steps from one then steps in buffers of its own).
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    n = initial.n_points
+    if workspace is not None:
+        workspace.check(n)
     dx = initial.dx
     advective = abs(p.drift) * dt / dx
     if advective > 0.5:
@@ -299,15 +368,36 @@ def fp_evolve(initial: GridFunction, p: FPParams, dt: float, n_steps: int) -> Gr
             f"{edge:.3g} exceeds {_BOUNDARY_TOL:g} * peak ({np.abs(v).max():.3g})"
         )
 
-    # (I - dt/2 L) psi_next = (I + dt/2 L) psi
-    (lo, di, up), factors = _cn_operator(initial.n_points, dx, dt, p.drift, p.diffusion)
+    # (I - dt/2 L) psi_next = (I + dt/2 L) psi, with the operations of
+    #   rhs = psi.copy()
+    #   rhs[1:-1] += 0.5 * dt * (lo * psi[:-2] + di * psi[1:-1] + up * psi[2:])
+    # in the same order, so the bits do not depend on the buffers; rhs holds
+    # each stencil term before psi is copied into it
+    (lo, di, up), factors = _cn_operator(n, dx, dt, p.drift, p.diffusion)
+    half_dt = 0.5 * dt
     psi = np.asarray(v, dtype=np.complex128)
+    # the steps alternate between both profile buffers: when psi is one of
+    # them, a second step would overwrite it
+    if workspace is None or (
+        n_steps > 1 and any(np.may_share_memory(psi, a) for a in workspace.profiles)
+    ):
+        workspace = FPWorkspace(n)
+    (a, b), stencil = workspace.profiles, workspace.sums[:-1]
+    modulus = workspace.sums.view(np.float64)[:n]
     for _ in range(n_steps):
-        rhs = psi.copy()
-        rhs[1:-1] += 0.5 * dt * (lo * psi[:-2] + di * psi[1:-1] + up * psi[2:])
+        rhs = b if np.may_share_memory(psi, a) else a
+        term = rhs[1:-1]
+        np.multiply(lo, psi[:-2], out=stencil)
+        np.multiply(di, psi[1:-1], out=term)
+        np.add(stencil, term, out=stencil)
+        np.multiply(up, psi[2:], out=term)
+        np.add(stencil, term, out=stencil)
+        np.multiply(half_dt, stencil, out=stencil)
+        np.copyto(rhs, psi)
+        rhs[1:-1] += stencil
         rhs[0] = rhs[-1] = 0.0
         psi, _ = _GTTRS(*factors, rhs, overwrite_b=1)
-        near, peak = max(abs(psi[1]), abs(psi[-2])), np.abs(psi).max()
+        near, peak = max(abs(psi[1]), abs(psi[-2])), np.abs(psi, out=modulus).max()
         if peak == 0:
             raise ValueError("the evolved profile is 0 at every grid point")
         if near > _NEAR_BOUNDARY_TOL * peak:
@@ -316,6 +406,8 @@ def fp_evolve(initial: GridFunction, p: FPParams, dt: float, n_steps: int) -> Gr
                 f"{near:.3g}, exceeds {_NEAR_BOUNDARY_TOL:g} * peak ({peak:.3g}), "
                 "so mass leaks through the pinned ends"
             )
-    if not np.isfinite(psi).all():
+    # a finite peak modulus has finite parts everywhere
+    if not np.isfinite(peak) and not np.isfinite(psi).all():
         raise ValueError("Crank-Nicolson evolution left the finite range")
     return GridFunction(initial.x_min, initial.x_max, psi)
+

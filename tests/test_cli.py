@@ -11,6 +11,7 @@ import platform
 import tempfile
 import time
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -529,11 +530,15 @@ def test_fpsolve_refuses_mass_leaking_through_the_boundary(tmp_path, capsys):
 def test_fpsolve_refuses_an_initial_packet_that_vanishes(tmp_path, capsys, monkeypatch, beta):
     # |drift| * fp-time widens the domain to about +-3.5e9 at beta = 1e10, a
     # grid spacing of 1.1e8 against sigma0 = 0.3: the packet is 0 at every
-    # point, which is said before anything is evolved
+    # point, which is said before anything is evolved, and alone: the
+    # overflow of the packet's exponent raises no numpy warning
     monkeypatch.setattr("sqrtwiener.kernels.fp_evolve", _no_evolution)
-    _refused(tmp_path, capsys, ("fpsolve", "--beta", beta, "--grid-points", "64"),
-             f"beta = {float(beta)}, sigma0 = 0.3, fp-time = 0.5 and grid-points = 64: "
-             "the initial packet is 0 at every grid point")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _refused(tmp_path, capsys, ("fpsolve", "--beta", beta, "--grid-points", "64"),
+                 f"beta = {float(beta)}, sigma0 = 0.3, fp-time = 0.5 and grid-points = 64: "
+                 "the initial packet is 0 at every grid point")
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.parametrize("argv, field", [
@@ -622,6 +627,30 @@ def test_fpsolve_final_profile_golden_digest(tmp_path):
     assert manifest["increment_digest"] == (
         "sha256:5e84cc4f2849ecf056dfedb09cdea5092586f41cc17875a77083246fd1acbb33"
     )
+
+
+# SHA-256 of each profile CSV, comment lines included, and the report's mass
+# figures at the golden-digest run, frozen before fpsolve stepped in reused
+# buffers: a midpoint profile that a later step overwrites changes its hash
+FP_PROFILE_SHA256 = {
+    "fp_profile_t0.0000.csv": "18f477663c253146f3067939188eb50bfeb0961d3765e1dd6480d2b08d369bf2",
+    "fp_profile_t0.0500.csv": "ebb003e3841ae47b5b8a19cdd789d30adc17f4ca078723793e8f3abd68322e29",
+    "fp_profile_t0.1000.csv": "7584d8ea0cf86630e5c84594283fc8b6494b440bf20f2e19190d41997794d1ed",
+}
+
+
+def test_fpsolve_output_bytes_and_masses_are_pinned(tmp_path):
+    out = tmp_path / "fp"
+    assert run("fpsolve", "--grid-points", "1024", "--fp-dt", "0.002", "--fp-time", "0.1",
+               "--beta", "0.5", "--output", str(out)) == 0
+    profiles = sorted(p.name for p in out.glob("fp_profile_t*.csv"))
+    assert profiles == sorted(FP_PROFILE_SHA256)
+    for name, sha in FP_PROFILE_SHA256.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == sha, name
+    report = json.loads((out / "fp_report.json").read_text())
+    assert report["mass_initial"] == [1.0, 0.0]
+    assert report["mass_final"] == [1.0000000000000098, 1.4863110742169283e-14]
+    assert report["max_per_step_mass_drift"] == 5.593023969348752e-16
 
 
 def test_memory_error_exits_1_naming_the_size(tmp_path, capsys):

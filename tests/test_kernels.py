@@ -18,6 +18,7 @@ from scipy.linalg import solve_banded
 from sqrtwiener import kernels
 from sqrtwiener import (
     FPParams,
+    FPWorkspace,
     GridFunction,
     SqrtParams,
     fp_analytic_solution,
@@ -364,6 +365,129 @@ def test_evolve_cache_key_holds_every_operator_input(change):
     for init, params, dt in ((g, p, 0.002), (other, q, dt_other), (g, p, 0.002)):
         got = fp_evolve(init, params, dt, 3).values
         assert np.array_equal(got, _fp_evolve_banded(init, params, dt, 3).values)
+
+
+# Workspace contract: fp_evolve and grid_integral write into buffers their
+# caller may own, with bits that do not depend on which buffers they are.
+
+def test_workspace_single_steps_equal_fresh_calls_and_one_multi_step_call():
+    p = fp_params_from_process(SqrtParams(0.5, 0.5))
+    init = _packet(p, 1024, half=20.0)
+    ws = FPWorkspace(1024)
+    shared = fresh = init
+    for _ in range(40):
+        shared = fp_evolve(shared, p, 0.002, 1, workspace=ws)
+        fresh = fp_evolve(fresh, p, 0.002, 1)
+        assert np.array_equal(shared.values, fresh.values)
+        mass = grid_integral(shared, ws)
+        assert mass == complex(np.trapezoid(fresh.values, dx=fresh.dx))
+        assert np.array_equal(shared.values, fresh.values)  # the mass wrote no profile
+    assert any(shared.values is a for a in ws.profiles)
+    assert np.array_equal(shared.values, fp_evolve(init, p, 0.002, 40).values)
+    assert np.array_equal(shared.values, fp_evolve(init, p, 0.002, 40, workspace=ws).values)
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 5])
+@pytest.mark.parametrize("source", ["own-array", "profile-0", "profile-1", "view-of-profile-0"])
+def test_workspace_never_writes_the_initial_profile(source, n_steps):
+    p = fp_params_from_process(SqrtParams(0.5, 0.5))
+    packet = _packet(p, 1024, half=20.0)
+    expected = fp_evolve(packet, p, 0.002, n_steps).values
+    ws = FPWorkspace(1024)
+    values = packet.values.copy()
+    if source != "own-array":
+        values = ws.profiles[int(source[-1])]
+        if source.startswith("view"):
+            values = values[:]
+        np.copyto(values, packet.values)
+    init = GridFunction(packet.x_min, packet.x_max, values)
+    got = fp_evolve(init, p, 0.002, n_steps, workspace=ws)
+    assert np.array_equal(init.values, packet.values)
+    assert np.array_equal(got.values, expected)
+    assert not np.shares_memory(got.values, init.values)
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.float64])
+def test_grid_integral_has_the_bits_of_trapezoid(dtype):
+    # signed zeros, subnormals, huge, tiny and non-finite values, and sums
+    # that are 0 in a part: the mass has the bits of np.trapezoid, with or
+    # without a workspace
+    rng = np.random.default_rng(7)
+    ws = FPWorkspace(1001)
+    for trial in range(200):
+        values = rng.standard_normal(1001) * 10.0 ** rng.integers(-330, 300, 1001)
+        if dtype is np.complex128:
+            values = values + 1j * rng.standard_normal(1001) * 10.0 ** rng.integers(-330, 300)
+        values[rng.integers(0, 1001, 40)] = 0.0
+        values[rng.integers(0, 1001, 40)] = -0.0
+        kind = trial % 8
+        if kind == 0:
+            values[:] = -0.0
+        elif kind == 1:
+            values[:] = values.real * (-1.0) ** trial  # a part that sums to +-0
+        elif kind == 2:
+            values[rng.integers(0, 1001)] = rng.choice([np.inf, -np.inf, np.nan])
+        elif kind == 3 and dtype is np.complex128:
+            values[rng.integers(0, 1001)] = complex(1.0, rng.choice([np.inf, np.nan]))
+        elif kind == 4:
+            values[:] = values[::-1] - values  # odd: each part sums to about 0
+        g = GridFunction(-1.0, float(rng.random() * 10.0 ** rng.integers(-3, 4)), values)
+        with np.errstate(all="ignore"):
+            expected = complex(np.trapezoid(values, dx=g.dx))
+            got = [grid_integral(g), grid_integral(g, ws)]
+        for mass in got:
+            assert np.array_equal([mass], [expected], equal_nan=True)
+            assert np.signbit([mass.real, mass.imag]).tolist() == np.signbit(
+                [expected.real, expected.imag]).tolist()
+
+
+def _nan_inside(p):
+    g = _packet(p, 1024, half=20.0)
+    values = g.values.copy()
+    values[512] = np.nan
+    return GridFunction(g.x_min, g.x_max, values)
+
+
+@pytest.mark.parametrize("case, match", [
+    ("advective", "advective stability"),
+    ("edge", "boundary amplitude"),
+    ("near-boundary", "next to the boundary"),
+    ("zero", "the evolved profile is 0 at every grid point"),
+    ("non-finite", "left the finite range"),
+])
+def test_workspace_keeps_every_refusal(case, match):
+    heat = FPParams(drift=0.0, diffusion=1.0)
+    p = fp_params_from_process(SqrtParams(0.5, 0.5))
+    x = np.linspace(-6, 6, 513)
+    init, params, dt, n_steps = {
+        "advective": (_packet(p, 513, half=6.0), FPParams(drift=40.0, diffusion=1.0), 0.5, 1),
+        "edge": (GridFunction(-2, 2, gaussian_packet(np.linspace(-2, 2, 513), 0.0, 1.0, heat)),
+                 heat, 1e-4, 1),
+        "near-boundary": (GridFunction(-6, 6, gaussian_packet(x, 0.0, 0.5, heat)),
+                          heat, 0.005, 100),
+        "zero": (GridFunction(-6, 6, np.zeros(513, complex)), heat, 0.005, 1),
+        "non-finite": (_nan_inside(p), p, 0.002, 1),
+    }[case]
+    n = init.n_points
+    with pytest.raises(ValueError, match=match):
+        fp_evolve(init, params, dt, n_steps, workspace=FPWorkspace(n))
+    # the same refusal from one-step calls sharing a workspace
+    ws, g = FPWorkspace(n), init
+    with pytest.raises(ValueError, match=match):
+        for _ in range(n_steps):
+            g = fp_evolve(g, params, dt, 1, workspace=ws)
+
+
+def test_workspace_of_another_grid_size_is_refused():
+    p = fp_params_from_process(SqrtParams(0.5, 0.5))
+    g = _packet(p, 1024, half=20.0)
+    for n in (1023, 1025):
+        with pytest.raises(ValueError, match=f"the workspace holds {n} points, the grid has 1024"):
+            fp_evolve(g, p, 0.002, 1, workspace=FPWorkspace(n))
+        with pytest.raises(ValueError, match=f"the workspace holds {n} points, the grid has 1024"):
+            grid_integral(g, FPWorkspace(n))
+    with pytest.raises(ValueError, match="at least 3 points"):
+        FPWorkspace(2)
 
 
 def test_evolve_factors_are_read_only():

@@ -146,6 +146,18 @@ def test_benchmark_replay_names_resolve():
     )
 
 
+
+def test_fp_evolve_keeps_the_parameters_the_replay_reads():
+    # the replay notes args["n_steps"] of each traced fp_evolve call, bound
+    # by name: a renamed parameter must fail here rather than only in a
+    # traced benchmark run, and a parameter added after it needs a default
+    assert 'args["n_steps"]' in REPLAY.read_text()
+    params = list(inspect.signature(sqrtwiener.kernels.fp_evolve).parameters.values())
+    assert [q.name for q in params[:4]] == ["initial", "p", "dt", "n_steps"]
+    assert params[3].default is inspect.Parameter.empty
+    for q in params[4:]:
+        assert q.default is not inspect.Parameter.empty, f"fp_evolve's {q.name} has no default"
+
 def test_cli_import_leaves_scipy_optimize_unloaded():
     # only the Gaussian fits use scipy.optimize, and they import it themselves
     src = str(Path(sqrtwiener.__file__).resolve().parents[1])
