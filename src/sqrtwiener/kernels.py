@@ -46,7 +46,6 @@ FPWorkspace it owns to every call.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 import numpy as np
@@ -242,19 +241,6 @@ def grid_integral(g: GridFunction, workspace: FPWorkspace | None = None) -> comp
         pairs = np.empty(len(y) - 1, dtype)
     np.add(y[1:], y[:-1], out=pairs)
     np.multiply(g.dx, pairs, out=pairs)
-    if dtype == np.complex128:
-        # numpy divides a complex by 2.0 as ((re + im*0) * 0.5, (im - re*0) * 0.5).
-        # Halving each part alone, at a fifth of the cost, differs only in the
-        # sign of a zero part or where a part is not finite, so a sum finite
-        # and nonzero in both parts has the same bits; any other is redone
-        parts = pairs.view(np.float64)
-        np.multiply(parts, 0.5, out=parts)
-        mass = complex(pairs.sum(-1))
-        re, im = mass.real, mass.imag
-        if re and im and math.isfinite(re) and math.isfinite(im):
-            return mass
-        np.add(y[1:], y[:-1], out=pairs)
-        np.multiply(g.dx, pairs, out=pairs)
     np.true_divide(pairs, 2.0, out=pairs)
     return complex(pairs.sum(-1))
 
@@ -410,4 +396,3 @@ def fp_evolve(initial: GridFunction, p: FPParams, dt: float, n_steps: int,
     if not np.isfinite(peak) and not np.isfinite(psi).all():
         raise ValueError("Crank-Nicolson evolution left the finite range")
     return GridFunction(initial.x_min, initial.x_max, psi)
-

@@ -146,7 +146,6 @@ def test_benchmark_replay_names_resolve():
     )
 
 
-
 def test_fp_evolve_keeps_the_parameters_the_replay_reads():
     # the replay notes args["n_steps"] of each traced fp_evolve call, bound
     # by name: a renamed parameter must fail here rather than only in a
@@ -157,6 +156,7 @@ def test_fp_evolve_keeps_the_parameters_the_replay_reads():
     assert params[3].default is inspect.Parameter.empty
     for q in params[4:]:
         assert q.default is not inspect.Parameter.empty, f"fp_evolve's {q.name} has no default"
+
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
     # only the Gaussian fits use scipy.optimize, and they import it themselves
