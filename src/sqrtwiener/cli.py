@@ -624,26 +624,35 @@ def cmd_fpsolve(config: RunConfig, args: argparse.Namespace) -> int:
 
     n_steps = max(1, round(fp_time / fp_dt))
     dt_eff = fp_time / n_steps
+    # profiles at 0, at the midpoint step when there is one, and at fp-time
+    times = [0.0, n_steps // 2 * dt_eff, fp_time] if n_steps >= 2 else [0.0, fp_time]
+    names = [f"fp_profile_t{t:.4f}.csv" for t in times]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ConfigError(
+                f"fp-time = {fp_time} and fp-dt = {fp_dt} give two profiles the name {name}"
+            )
+
     # stepwise evolution to trace per-step mass conservation; every step
     # writes into one workspace, so the midpoint profile is copied out of it
     workspace = kn.FPWorkspace(grid_points)
-    masses = [kn.grid_integral(init, workspace)]
-    profiles = {0.0: init}
+    masses = [kn.grid_integral(init)]
+    profiles = [init]
     current = init
     try:
         for k in range(n_steps):
             current = kn.fp_evolve(current, p, dt_eff, 1, workspace=workspace)
-            masses.append(kn.grid_integral(current, workspace))
+            masses.append(kn.grid_integral(current))
             if k + 1 == n_steps // 2:
-                profiles[n_steps // 2 * dt_eff] = kn.GridFunction(
+                profiles.append(kn.GridFunction(
                     current.x_min, current.x_max, current.values.copy()
-                )
+                ))
     except ValueError as exc:
         raise ConfigError(
             f"grid-points = {grid_points}, fp-time = {fp_time} and fp-dt = {fp_dt}: {exc}"
         ) from exc
     del workspace  # frees every buffer but the final profile's before the writes
-    profiles[fp_time] = current
+    profiles.append(current)
 
     mass_arr = np.array(masses)
     per_step_drift = float(np.abs(np.diff(mass_arr)).max())
@@ -655,15 +664,12 @@ def cmd_fpsolve(config: RunConfig, args: argparse.Namespace) -> int:
                              diffusion=[p.diffusion.real, p.diffusion.imag])
     comments = manifest_header_lines(manifest)
     out = _prepare_output(config)
-    names = []
-    for t_prof, g in sorted(profiles.items()):
-        name = f"fp_profile_t{t_prof:.4f}.csv"
+    for name, g in zip(names, profiles):
         columns = [g.xs(), g.values.real, g.values.imag, np.abs(g.values)]
         write_csv(
             out / name, comments, "x,re,im,modulus",
             column_blocks(columns, "%.17g,%.17g,%.17g,%.17g\n"),
         )
-        names.append(name)
 
     mod0 = np.abs(init.values)
     mod1 = np.abs(current.values)

@@ -39,9 +39,9 @@ displacement rather than a nominal one.
 The Crank-Nicolson matrix depends only on (grid size, dx, dt, mu, D): it is
 factored once per such configuration and the read-only factors are memoized,
 so a caller that steps one call at a time pays one tridiagonal solve per
-step and no refactorization.  The step itself writes into buffers allocated
-once per fp_evolve call, or once per run when the caller passes an
-FPWorkspace it owns to every call.
+step and no refactorization.  The step itself writes its profiles and
+stencil sum into buffers allocated once per fp_evolve call, or once per run
+when the caller passes an FPWorkspace it owns to every call.
 """
 
 from __future__ import annotations
@@ -224,25 +224,9 @@ class GridFunction:
         return np.linspace(self.x_min, self.x_max, self.n_points)
 
 
-def grid_integral(g: GridFunction, workspace: FPWorkspace | None = None) -> complex:
-    """Trapezoid integral of the grid function (the conserved 'mass').
-
-    The pair sums are written into one buffer, the workspace's when one of
-    the grid's size is passed and the values are complex128, and the bits
-    are those of complex(np.trapezoid(g.values, dx=g.dx)).
-    """
-    y = g.values
-    if workspace is not None:
-        workspace.check(g.n_points)
-    dtype = np.result_type(y, g.dx)
-    if workspace is not None and workspace.sums.dtype == dtype:
-        pairs = workspace.sums
-    else:
-        pairs = np.empty(len(y) - 1, dtype)
-    np.add(y[1:], y[:-1], out=pairs)
-    np.multiply(g.dx, pairs, out=pairs)
-    np.true_divide(pairs, 2.0, out=pairs)
-    return complex(pairs.sum(-1))
+def grid_integral(g: GridFunction) -> complex:
+    """Trapezoid integral of the grid function (the conserved 'mass')."""
+    return complex(np.trapezoid(g.values, dx=g.dx))
 
 
 # Largest amplitude, against the peak modulus, that fp_evolve accepts at the
@@ -283,27 +267,19 @@ def _cn_operator(n: int, dx: float, dt: float, drift: complex, diffusion: comple
 
 
 class FPWorkspace:
-    """Buffers of fp_evolve and grid_integral on a grid of n_points, 48
-    bytes a point: two profiles the steps alternate between, and the sums,
-    which hold the stencil sum of a step, then the modulus of its result
-    (read as floats), and grid_integral's pair sums between steps.  A caller
-    that passes one workspace to every call of a run allocates them once per
-    run; the profile that an fp_evolve call returns lives in the workspace
-    until a later call with it overwrites it."""
+    """Buffers of fp_evolve on a grid of n_points, 48 bytes a point: two
+    profiles the steps alternate between, and the stencil sum of a step at
+    the n_points - 2 interior points.  A caller that passes one workspace to
+    every call of a run allocates them once per run; the profile that an
+    fp_evolve call returns lives in the workspace until a later call with it
+    overwrites it."""
 
     def __init__(self, n_points: int) -> None:
         if n_points < 3:
             raise ValueError(f"grid needs at least 3 points, got {n_points}")
         self.n_points = n_points
         self.profiles = (np.empty(n_points, np.complex128), np.empty(n_points, np.complex128))
-        self.sums = np.empty(n_points - 1, np.complex128)
-
-    def check(self, n_points: int) -> None:
-        """Refuse a grid of another size."""
-        if n_points != self.n_points:
-            raise ValueError(
-                f"the workspace holds {self.n_points} points, the grid has {n_points}"
-            )
+        self.stencil = np.empty(n_points - 2, np.complex128)
 
 
 def fp_evolve(initial: GridFunction, p: FPParams, dt: float, n_steps: int,
@@ -323,21 +299,22 @@ def fp_evolve(initial: GridFunction, p: FPParams, dt: float, n_steps: int,
     then one gttrs solve.  A profile that leaves the finite range raises
     ValueError.
 
-    Each step writes into buffers allocated once per call.  A caller that
-    steps one call at a time passes the same workspace (an FPWorkspace of
-    the grid's size) to every call, so the buffers are allocated once per
-    run.  The returned values then live in the workspace: a later call with
-    it overwrites them, so copy any profile that must outlive the next call.
-    initial.values is never written, even when it is a workspace buffer (a
-    call of several steps from one then steps in buffers of its own).
+    Each step writes its profile and its stencil sum into buffers allocated
+    once per call.  A caller that steps one call at a time passes the same
+    workspace (an FPWorkspace of the grid's size) to every call, so the
+    buffers are allocated once per run.  The returned values then live in
+    the workspace: a later call with it overwrites them, so copy any profile
+    that must outlive the next call.  initial.values is never written, even
+    when it is a workspace buffer (a call of several steps from one then
+    steps in buffers of its own).
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     n = initial.n_points
-    if workspace is not None:
-        workspace.check(n)
+    if workspace is not None and workspace.n_points != n:
+        raise ValueError(f"the workspace holds {workspace.n_points} points, the grid has {n}")
     dx = initial.dx
     advective = abs(p.drift) * dt / dx
     if advective > 0.5:
@@ -368,8 +345,7 @@ def fp_evolve(initial: GridFunction, p: FPParams, dt: float, n_steps: int,
         n_steps > 1 and any(np.may_share_memory(psi, a) for a in workspace.profiles)
     ):
         workspace = FPWorkspace(n)
-    (a, b), stencil = workspace.profiles, workspace.sums[:-1]
-    modulus = workspace.sums.view(np.float64)[:n]
+    (a, b), stencil = workspace.profiles, workspace.stencil
     for _ in range(n_steps):
         rhs = b if np.may_share_memory(psi, a) else a
         term = rhs[1:-1]
@@ -383,7 +359,7 @@ def fp_evolve(initial: GridFunction, p: FPParams, dt: float, n_steps: int,
         rhs[1:-1] += stencil
         rhs[0] = rhs[-1] = 0.0
         psi, _ = _GTTRS(*factors, rhs, overwrite_b=1)
-        near, peak = max(abs(psi[1]), abs(psi[-2])), np.abs(psi, out=modulus).max()
+        near, peak = max(abs(psi[1]), abs(psi[-2])), np.abs(psi).max()
         if peak == 0:
             raise ValueError("the evolved profile is 0 at every grid point")
         if near > _NEAR_BOUNDARY_TOL * peak:

@@ -29,9 +29,9 @@ them straight into its own, so no whole drawn dw is held beside an output.
 Every pass over a whole ensemble (the draws, integrate_sqrt's bracket in
 process, the cumulative terminal column here, the pooled reductions in
 stats) walks it in the row blocks of row_blocks, so its temporaries are set
-by one block, not by n_paths x n_steps.  The bracket and the cumulative
-terminal column write each block into views of one block_scratch buffer
-allocated per call, not into new arrays per block.
+by one block, not by n_paths x n_steps.  The bracket writes each block's
+phases into views of one block_scratch buffer allocated per call, not into
+new arrays per block.
 """
 
 from __future__ import annotations
@@ -143,10 +143,8 @@ def cumulative_terminal(increments: np.ndarray) -> np.ndarray:
     with only one row block's running sums alive at a time."""
     out = np.empty(increments.shape[0], increments.dtype)
     # the running sums do not depend on cumulative_paths' leading 0
-    sums = block_scratch(*increments.shape, increments.dtype)
     for block in row_blocks(*increments.shape):
-        rows = increments[block]
-        out[block] = np.cumsum(rows, axis=-1, out=sums[: len(rows)])[:, -1]
+        out[block] = np.cumsum(increments[block], axis=-1)[:, -1]
     return out
 
 

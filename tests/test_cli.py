@@ -611,6 +611,20 @@ def test_fpsolve_stability_violation_names_bound(tmp_path, capsys):
     assert not (tmp_path / "fp").exists()  # refused before the output is made
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["--fp-time", "0.00001", "--grid-points", "256"], "fp_profile_t0.0000.csv"),
+    (["--fp-time", "0.0001", "--fp-dt", "0.00005"], "fp_profile_t0.0001.csv"),
+], ids=["initial-and-final", "midpoint-and-final"])
+def test_fpsolve_refuses_profiles_that_share_a_name(tmp_path, capsys, argv, name):
+    with mock.patch("sqrtwiener.kernels.fp_evolve") as fp_evolve:
+        code = run("fpsolve", *argv, "--output", str(tmp_path / "fp"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "fp-time" in err and "fp-dt" in err and name in err
+    assert not (tmp_path / "fp").exists()
+    fp_evolve.assert_not_called()
+
+
 def test_fpsolve_requires_mu0_half(tmp_path, capsys):
     assert run("fpsolve", "--mu0", "2.0", "--output", str(tmp_path / "fp")) == 1
     assert "mu0" in capsys.readouterr().err

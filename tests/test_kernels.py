@@ -367,8 +367,8 @@ def test_evolve_cache_key_holds_every_operator_input(change):
         assert np.array_equal(got, _fp_evolve_banded(init, params, dt, 3).values)
 
 
-# Workspace contract: fp_evolve and grid_integral write into buffers their
-# caller may own, with bits that do not depend on which buffers they are.
+# Workspace contract: fp_evolve writes into buffers its caller may own,
+# with bits that do not depend on which buffers they are.
 
 def test_workspace_single_steps_equal_fresh_calls_and_one_multi_step_call():
     p = fp_params_from_process(SqrtParams(0.5, 0.5))
@@ -379,7 +379,7 @@ def test_workspace_single_steps_equal_fresh_calls_and_one_multi_step_call():
         shared = fp_evolve(shared, p, 0.002, 1, workspace=ws)
         fresh = fp_evolve(fresh, p, 0.002, 1)
         assert np.array_equal(shared.values, fresh.values)
-        mass = grid_integral(shared, ws)
+        mass = grid_integral(shared)
         assert mass == complex(np.trapezoid(fresh.values, dx=fresh.dx))
         assert np.array_equal(shared.values, fresh.values)  # the mass wrote no profile
     assert any(shared.values is a for a in ws.profiles)
@@ -410,10 +410,8 @@ def test_workspace_never_writes_the_initial_profile(source, n_steps):
 @pytest.mark.parametrize("dtype", [np.complex128, np.float64])
 def test_grid_integral_has_the_bits_of_trapezoid(dtype):
     # signed zeros, subnormals, huge, tiny and non-finite values, and sums
-    # that are 0 in a part: the mass has the bits of np.trapezoid, with or
-    # without a workspace
+    # that are 0 in a part: the mass has the bits of np.trapezoid
     rng = np.random.default_rng(7)
-    ws = FPWorkspace(1001)
     for trial in range(200):
         values = rng.standard_normal(1001) * 10.0 ** rng.integers(-330, 300, 1001)
         if dtype is np.complex128:
@@ -434,11 +432,10 @@ def test_grid_integral_has_the_bits_of_trapezoid(dtype):
         g = GridFunction(-1.0, float(rng.random() * 10.0 ** rng.integers(-3, 4)), values)
         with np.errstate(all="ignore"):
             expected = complex(np.trapezoid(values, dx=g.dx))
-            got = [grid_integral(g), grid_integral(g, ws)]
-        for mass in got:
-            assert np.array_equal([mass], [expected], equal_nan=True)
-            assert np.signbit([mass.real, mass.imag]).tolist() == np.signbit(
-                [expected.real, expected.imag]).tolist()
+            mass = grid_integral(g)
+        assert np.array_equal([mass], [expected], equal_nan=True)
+        assert np.signbit([mass.real, mass.imag]).tolist() == np.signbit(
+            [expected.real, expected.imag]).tolist()
 
 
 def _nan_inside(p):
@@ -484,8 +481,6 @@ def test_workspace_of_another_grid_size_is_refused():
     for n in (1023, 1025):
         with pytest.raises(ValueError, match=f"the workspace holds {n} points, the grid has 1024"):
             fp_evolve(g, p, 0.002, 1, workspace=FPWorkspace(n))
-        with pytest.raises(ValueError, match=f"the workspace holds {n} points, the grid has 1024"):
-            grid_integral(g, FPWorkspace(n))
     with pytest.raises(ValueError, match="at least 3 points"):
         FPWorkspace(2)
 
