@@ -15,7 +15,6 @@ from .clifford import (
 )
 from .kernels import (
     FPParams,
-    FPWorkspace,
     GridFunction,
     fp_analytic_solution,
     fp_evolve,

@@ -18,9 +18,10 @@ dt = 0.001, mu0 = 1/2, beta = 0); a subcommand's own flags and defaults
 live in its argparse subparser only.  Exit codes: 0 success, 1 configuration
 error, library ValueError, arithmetic out of float range (also emitted
 numbers that are not all finite; the message names dt, mu0 and beta) or
-not enough memory (the message names the sizes that failed: n_paths x
-n_steps, x-points or grid-points), 2 I/O error.  Every file is written to a
-temporary file (process.replaced_atomically) and renamed into place, and a
+sizes beyond memory or beyond numpy's array range (the message names the
+sizes: n_paths x n_steps, x-points, bins or grid-points; those beyond the
+range are refused before any draw), 2 I/O error.  Every file is written to
+a temporary file (process.replaced_atomically) and renamed into place, and a
 run makes its output directory only after its draws or its evolution
 succeeded.  A run writes its manifest last, after deleting the files that
 the directory's previous manifest listed and the new one does not, and the
@@ -107,6 +108,13 @@ def _memory_for(sizes: str):
         yield
     except MemoryError as exc:
         raise ConfigError(f"not enough memory for {sizes}: {exc}") from exc
+
+
+def _require_allocatable(sizes: str, elements: int) -> None:
+    """Refuse, naming the sizes, an array of that many complex128 elements
+    (the widest the package allocates by them) beyond numpy's byte range."""
+    if elements * 16 > np.iinfo(np.intp).max:
+        raise ConfigError(f"{sizes}: an array larger than numpy can allocate")
 
 
 def _finite_real(v) -> bool:
@@ -445,6 +453,9 @@ def cmd_kernels(config: RunConfig, args: argparse.Namespace) -> int:
         raise ConfigError("x range must be non-empty with at least 8 points")
     if bins is not None and bins < 1:
         raise ConfigError(f"bins must be >= 1, got {bins}")
+    _require_allocatable(f"x-points = {x_points}", x_points)
+    if bins is not None:
+        _require_allocatable(f"bins = {bins}", bins)
     # analytic side first, so that a t or x range it refuses makes no output
     where = f"t = {t}, x_min = {x_min}, x_max = {x_max}"
     with _memory_for(f"x-points = {x_points}"), np.errstate(all="ignore"):
@@ -634,14 +645,14 @@ def cmd_fpsolve(config: RunConfig, args: argparse.Namespace) -> int:
             )
 
     # stepwise evolution to trace per-step mass conservation; every step
-    # writes into one workspace, so the midpoint profile is copied out of it
-    workspace = kn.FPWorkspace(grid_points)
+    # advances one profile in place, so the midpoint profile is copied out of it
+    profile = np.empty(grid_points, np.complex128)
     masses = [kn.grid_integral(init)]
     profiles = [init]
     current = init
     try:
         for k in range(n_steps):
-            current = kn.fp_evolve(current, p, dt_eff, 1, workspace=workspace)
+            current = kn.fp_evolve(current, p, dt_eff, 1, out=profile)
             masses.append(kn.grid_integral(current))
             if k + 1 == n_steps // 2:
                 profiles.append(kn.GridFunction(
@@ -651,7 +662,6 @@ def cmd_fpsolve(config: RunConfig, args: argparse.Namespace) -> int:
         raise ConfigError(
             f"grid-points = {grid_points}, fp-time = {fp_time} and fp-dt = {fp_dt}: {exc}"
         ) from exc
-    del workspace  # frees every buffer but the final profile's before the writes
     profiles.append(current)
 
     mass_arr = np.array(masses)
@@ -759,9 +769,11 @@ def main(argv=None) -> int:
         config = build_config(args)
         # fpsolve allocates by its grid alone; kernels names x-points itself
         if args.command == "fpsolve":
-            sizes = f"grid-points = {args.grid_points}"
+            sizes, elements = f"grid-points = {args.grid_points}", args.grid_points
         else:
             sizes = f"n_paths = {config.n_paths} x n_steps = {config.n_steps}"
+            elements = config.n_paths * config.n_steps
+        _require_allocatable(sizes, elements)
         try:
             with _memory_for(sizes):
                 return args.run(config, args)

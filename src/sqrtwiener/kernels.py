@@ -39,9 +39,10 @@ displacement rather than a nominal one.
 The Crank-Nicolson matrix depends only on (grid size, dx, dt, mu, D): it is
 factored once per such configuration and the read-only factors are memoized,
 so a caller that steps one call at a time pays one tridiagonal solve per
-step and no refactorization.  The step itself writes its profiles and
-stencil sum into buffers allocated once per fp_evolve call, or once per run
-when the caller passes an FPWorkspace it owns to every call.
+step and no refactorization.  The steps advance one profile in place: a new
+array per fp_evolve call, or the caller's out=, which a caller that steps
+one call at a time passes to every call so the profile is allocated once
+per run.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ from .process import SqrtParams
 
 __all__ = [
     "FPParams",
-    "FPWorkspace",
     "GridFunction",
     "schrodinger_kernel",
     "heat_kernel",
@@ -266,24 +266,8 @@ def _cn_operator(n: int, dx: float, dt: float, drift: complex, diffusion: comple
     return (lo, di, up), tuple(factors)
 
 
-class FPWorkspace:
-    """Buffers of fp_evolve on a grid of n_points, 48 bytes a point: two
-    profiles the steps alternate between, and the stencil sum of a step at
-    the n_points - 2 interior points.  A caller that passes one workspace to
-    every call of a run allocates them once per run; the profile that an
-    fp_evolve call returns lives in the workspace until a later call with it
-    overwrites it."""
-
-    def __init__(self, n_points: int) -> None:
-        if n_points < 3:
-            raise ValueError(f"grid needs at least 3 points, got {n_points}")
-        self.n_points = n_points
-        self.profiles = (np.empty(n_points, np.complex128), np.empty(n_points, np.complex128))
-        self.stencil = np.empty(n_points - 2, np.complex128)
-
-
 def fp_evolve(initial: GridFunction, p: FPParams, dt: float, n_steps: int,
-              workspace: FPWorkspace | None = None) -> GridFunction:
+              out: np.ndarray | None = None) -> GridFunction:
     """Advance d psi/dt = -mu d psi/dx + D d^2 psi/dx^2 by n_steps implicit
     time-centered (Crank-Nicolson) steps with boundary values pinned to 0.
 
@@ -299,22 +283,25 @@ def fp_evolve(initial: GridFunction, p: FPParams, dt: float, n_steps: int,
     then one gttrs solve.  A profile that leaves the finite range raises
     ValueError.
 
-    Each step writes its profile and its stencil sum into buffers allocated
-    once per call.  A caller that steps one call at a time passes the same
-    workspace (an FPWorkspace of the grid's size) to every call, so the
-    buffers are allocated once per run.  The returned values then live in
-    the workspace: a later call with it overwrites them, so copy any profile
-    that must outlive the next call.  initial.values is never written, even
-    when it is a workspace buffer (a call of several steps from one then
-    steps in buffers of its own).
+    The steps advance one profile in place, in out when it is given (a
+    writeable, C-contiguous complex128 array of the grid's size) and in a
+    new array otherwise; the returned values are that array.  initial.values
+    is copied into out first, unless it is out itself, so out=initial.values
+    steps a profile in place and any other out leaves initial.values
+    unwritten.  A caller that steps one call at a time passes the same out to
+    every call, so the profile is allocated once per run; copy any profile
+    that must outlive the next call.
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     n = initial.n_points
-    if workspace is not None and workspace.n_points != n:
-        raise ValueError(f"the workspace holds {workspace.n_points} points, the grid has {n}")
+    if out is not None and not (
+        isinstance(out, np.ndarray) and out.dtype == np.complex128 and out.shape == (n,)
+        and out.flags.c_contiguous and out.flags.writeable
+    ):
+        raise ValueError(f"out must be a writeable, C-contiguous complex128 array of {n} points")
     dx = initial.dx
     advective = abs(p.drift) * dt / dx
     if advective > 0.5:
@@ -334,31 +321,25 @@ def fp_evolve(initial: GridFunction, p: FPParams, dt: float, n_steps: int,
     # (I - dt/2 L) psi_next = (I + dt/2 L) psi, with the operations of
     #   rhs = psi.copy()
     #   rhs[1:-1] += 0.5 * dt * (lo * psi[:-2] + di * psi[1:-1] + up * psi[2:])
-    # in the same order, so the bits do not depend on the buffers; rhs holds
-    # each stencil term before psi is copied into it
+    # in the same order, so the bits do not depend on the buffers; the
+    # stencil sum and each of its terms go to a pair allocated once per call,
+    # then psi itself becomes the right-hand side that gttrs solves in place
     (lo, di, up), factors = _cn_operator(n, dx, dt, p.drift, p.diffusion)
     half_dt = 0.5 * dt
-    psi = np.asarray(v, dtype=np.complex128)
-    # the steps alternate between both profile buffers: when psi is one of
-    # them, a second step would overwrite it
-    if workspace is None or (
-        n_steps > 1 and any(np.may_share_memory(psi, a) for a in workspace.profiles)
-    ):
-        workspace = FPWorkspace(n)
-    (a, b), stencil = workspace.profiles, workspace.stencil
+    psi = np.empty(n, np.complex128) if out is None else out
+    if v is not psi:
+        np.copyto(psi, v)
+    stencil, term = np.empty((2, n - 2), np.complex128)
     for _ in range(n_steps):
-        rhs = b if np.may_share_memory(psi, a) else a
-        term = rhs[1:-1]
         np.multiply(lo, psi[:-2], out=stencil)
         np.multiply(di, psi[1:-1], out=term)
         np.add(stencil, term, out=stencil)
         np.multiply(up, psi[2:], out=term)
         np.add(stencil, term, out=stencil)
         np.multiply(half_dt, stencil, out=stencil)
-        np.copyto(rhs, psi)
-        rhs[1:-1] += stencil
-        rhs[0] = rhs[-1] = 0.0
-        psi, _ = _GTTRS(*factors, rhs, overwrite_b=1)
+        psi[1:-1] += stencil
+        psi[0] = psi[-1] = 0.0
+        _GTTRS(*factors, psi, overwrite_b=1)
         near, peak = max(abs(psi[1]), abs(psi[-2])), np.abs(psi).max()
         if peak == 0:
             raise ValueError("the evolved profile is 0 at every grid point")

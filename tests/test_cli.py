@@ -667,6 +667,27 @@ def test_fpsolve_output_bytes_and_masses_are_pinned(tmp_path):
     assert report["max_per_step_mass_drift"] == 5.593023969348752e-16
 
 
+def test_fpsolve_steps_one_profile_it_allocates_once(tmp_path, monkeypatch):
+    # every step of the run advances the same out array, which each call
+    # returns; the two report studies pass none
+    calls = []
+
+    def traced(initial, p, dt, n_steps, out=None):
+        result = evolve(initial, p, dt, n_steps, out=out)
+        calls.append((n_steps, out, result.values))
+        return result
+
+    evolve = sqrtwiener.kernels.fp_evolve
+    monkeypatch.setattr("sqrtwiener.kernels.fp_evolve", traced)
+    assert run("fpsolve", "--grid-points", "1024", "--fp-dt", "0.002", "--fp-time", "0.1",
+               "--beta", "0.5", "--output", str(tmp_path / "fp")) == 0
+    steps, studies = calls[:50], calls[50:]
+    profile = steps[0][1]
+    assert isinstance(profile, np.ndarray) and profile.shape == (1024,)
+    assert all(n == 1 and out is profile and values is profile for n, out, values in steps)
+    assert len(studies) == 4 and all(out is None for _, out, _ in studies)
+
+
 def test_memory_error_exits_1_naming_the_size(tmp_path, capsys):
     # the ensemble array is allocated at once in this process; the output
     # directory is made only after the draws succeed
@@ -713,6 +734,32 @@ def test_memory_error_names_the_grid_flag(tmp_path, capsys, argv, flag):
     assert code == 1
     assert f"not enough memory for {flag} = 1000000000000" in err
     assert "n_paths" not in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, field", [
+    (("simulate", "--paths", "2", "--steps", str(10**30)), "n_steps = " + str(10**30)),
+    (("simulate", "--paths", str(2**62), "--steps", "2"), f"n_paths = {2**62}"),
+    (("table1", "--paths", str(10**23), "--steps", "2"), f"n_paths = {10**23}"),
+    (("kernels", "--paths", str(10**23), "--steps", "2"), f"n_paths = {10**23}"),
+    (("kernels", "--x-points", str(10**23)), f"x-points = {10**23}"),
+    (("kernels", "--bins", str(10**23)), f"bins = {10**23}"),
+    (("fpsolve", "--grid-points", str(10**23)), f"grid-points = {10**23}"),
+], ids=["simulate-steps", "simulate-paths", "table1-paths", "kernels-paths",
+        "kernels-x-points", "kernels-bins", "fpsolve-grid-points"])
+def test_sizes_beyond_numpy_arrays_are_refused_naming_the_field(
+        tmp_path, capsys, monkeypatch, argv, field):
+    # numpy's own refusals of these sizes name no field; they are refused
+    # before any draw or evolution
+    monkeypatch.setattr("sqrtwiener.cli.wiener_ensemble", _no_draws)
+    monkeypatch.setattr("sqrtwiener.cli.integrate_sqrt", _no_draws)
+    monkeypatch.setattr("sqrtwiener.kernels.fp_evolve", _no_evolution)
+    out = tmp_path / "huge"
+    code = run(*argv, "--output", str(out))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert field in err and "numpy can allocate" in err
+    assert "Traceback" not in err
     assert not out.exists()
 
 

@@ -11,6 +11,8 @@ Frozen oracle values:
   (4 pi)^(-1/2) exp(-1/4) = 0.2196956.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
@@ -18,7 +20,6 @@ from scipy.linalg import solve_banded
 from sqrtwiener import kernels
 from sqrtwiener import (
     FPParams,
-    FPWorkspace,
     GridFunction,
     SqrtParams,
     fp_analytic_solution,
@@ -367,44 +368,68 @@ def test_evolve_cache_key_holds_every_operator_input(change):
         assert np.array_equal(got, _fp_evolve_banded(init, params, dt, 3).values)
 
 
-# Workspace contract: fp_evolve writes into buffers its caller may own,
-# with bits that do not depend on which buffers they are.
+# out= contract: fp_evolve steps one profile in place, in an array its
+# caller may own, with bits that do not depend on which array it is.  The
+# tests named for a workspace check the caller's out.
 
 def test_workspace_single_steps_equal_fresh_calls_and_one_multi_step_call():
     p = fp_params_from_process(SqrtParams(0.5, 0.5))
     init = _packet(p, 1024, half=20.0)
-    ws = FPWorkspace(1024)
+    out = np.empty(1024, np.complex128)
     shared = fresh = init
     for _ in range(40):
-        shared = fp_evolve(shared, p, 0.002, 1, workspace=ws)
+        shared = fp_evolve(shared, p, 0.002, 1, out=out)
+        assert shared.values is out
         fresh = fp_evolve(fresh, p, 0.002, 1)
         assert np.array_equal(shared.values, fresh.values)
         mass = grid_integral(shared)
         assert mass == complex(np.trapezoid(fresh.values, dx=fresh.dx))
         assert np.array_equal(shared.values, fresh.values)  # the mass wrote no profile
-    assert any(shared.values is a for a in ws.profiles)
     assert np.array_equal(shared.values, fp_evolve(init, p, 0.002, 40).values)
-    assert np.array_equal(shared.values, fp_evolve(init, p, 0.002, 40, workspace=ws).values)
+    expected = shared.values.copy()
+    assert fp_evolve(init, p, 0.002, 40, out=out).values is out
+    assert np.array_equal(out, expected)
 
 
+# source is the array initial.values is: its own array, a profile an
+# earlier call returned in its caller's out (profile-0) or in a new array
+# (profile-1), or a view of profile-0; out is always another array
 @pytest.mark.parametrize("n_steps", [1, 2, 5])
 @pytest.mark.parametrize("source", ["own-array", "profile-0", "profile-1", "view-of-profile-0"])
 def test_workspace_never_writes_the_initial_profile(source, n_steps):
     p = fp_params_from_process(SqrtParams(0.5, 0.5))
     packet = _packet(p, 1024, half=20.0)
-    expected = fp_evolve(packet, p, 0.002, n_steps).values
-    ws = FPWorkspace(1024)
-    values = packet.values.copy()
-    if source != "own-array":
-        values = ws.profiles[int(source[-1])]
+    if source == "own-array":
+        values = packet.values.copy()
+    elif source == "profile-1":
+        values = fp_evolve(packet, p, 0.002, 1).values
+    else:
+        values = fp_evolve(packet, p, 0.002, 1, out=np.empty(1024, np.complex128)).values
         if source.startswith("view"):
             values = values[:]
-        np.copyto(values, packet.values)
+    before = values.copy()
+    expected = fp_evolve(GridFunction(packet.x_min, packet.x_max, before), p, 0.002,
+                         n_steps).values
     init = GridFunction(packet.x_min, packet.x_max, values)
-    got = fp_evolve(init, p, 0.002, n_steps, workspace=ws)
-    assert np.array_equal(init.values, packet.values)
+    out = np.empty(1024, np.complex128)
+    got = fp_evolve(init, p, 0.002, n_steps, out=out)
+    assert np.array_equal(init.values, before)
     assert np.array_equal(got.values, expected)
+    assert got.values is out
     assert not np.shares_memory(got.values, init.values)
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 5])
+@pytest.mark.parametrize("source", ["out", "view-of-out"])
+def test_out_that_holds_the_initial_profile_steps_it_in_place(source, n_steps):
+    p = fp_params_from_process(SqrtParams(0.5, 0.5))
+    packet = _packet(p, 1024, half=20.0)
+    expected = fp_evolve(packet, p, 0.002, n_steps).values
+    out = packet.values.copy()
+    init = GridFunction(packet.x_min, packet.x_max, out if source == "out" else out[:])
+    got = fp_evolve(init, p, 0.002, n_steps, out=out)
+    assert got.values is out
+    assert np.array_equal(out, expected)
 
 
 @pytest.mark.parametrize("dtype", [np.complex128, np.float64])
@@ -467,22 +492,39 @@ def test_workspace_keeps_every_refusal(case, match):
     }[case]
     n = init.n_points
     with pytest.raises(ValueError, match=match):
-        fp_evolve(init, params, dt, n_steps, workspace=FPWorkspace(n))
-    # the same refusal from one-step calls sharing a workspace
-    ws, g = FPWorkspace(n), init
+        fp_evolve(init, params, dt, n_steps, out=np.empty(n, np.complex128))
+    # the same refusal from one-step calls sharing out
+    out, g = np.empty(n, np.complex128), init
     with pytest.raises(ValueError, match=match):
         for _ in range(n_steps):
-            g = fp_evolve(g, params, dt, 1, workspace=ws)
+            g = fp_evolve(g, params, dt, 1, out=out)
+
+
+def _out_refused(out):
+    p = fp_params_from_process(SqrtParams(0.5, 0.5))
+    g = _packet(p, 1024, half=20.0)
+    before = out.copy()
+    with mock.patch.object(kernels, "_GTTRS") as solve, pytest.raises(
+            ValueError, match="out must be a writeable, C-contiguous complex128 array of 1024"):
+        fp_evolve(g, p, 0.002, 1, out=out)
+    solve.assert_not_called()
+    assert np.array_equal(out, before, equal_nan=True)
 
 
 def test_workspace_of_another_grid_size_is_refused():
-    p = fp_params_from_process(SqrtParams(0.5, 0.5))
-    g = _packet(p, 1024, half=20.0)
     for n in (1023, 1025):
-        with pytest.raises(ValueError, match=f"the workspace holds {n} points, the grid has 1024"):
-            fp_evolve(g, p, 0.002, 1, workspace=FPWorkspace(n))
-    with pytest.raises(ValueError, match="at least 3 points"):
-        FPWorkspace(2)
+        _out_refused(np.zeros(n, np.complex128))
+
+
+@pytest.mark.parametrize("kind", ["float64", "strided", "read-only"])
+def test_out_that_cannot_hold_the_profile_in_place_is_refused(kind):
+    out = {
+        "float64": np.zeros(1024),
+        "strided": np.zeros(2048, np.complex128)[::2],
+        "read-only": np.zeros(1024, np.complex128),
+    }[kind]
+    out.flags.writeable = kind != "read-only"
+    _out_refused(out)
 
 
 def test_evolve_factors_are_read_only():
