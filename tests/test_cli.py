@@ -670,14 +670,13 @@ def test_fpsolve_output_bytes_and_masses_are_pinned(tmp_path):
 def test_fpsolve_steps_one_profile_it_allocates_once(tmp_path, monkeypatch):
     # every step of the run advances the same out array, which each call
     # returns; the two report studies pass none
-    calls = []
+    calls, evolve = [], sqrtwiener.kernels.fp_evolve
 
     def traced(initial, p, dt, n_steps, out=None):
         result = evolve(initial, p, dt, n_steps, out=out)
         calls.append((n_steps, out, result.values))
         return result
 
-    evolve = sqrtwiener.kernels.fp_evolve
     monkeypatch.setattr("sqrtwiener.kernels.fp_evolve", traced)
     assert run("fpsolve", "--grid-points", "1024", "--fp-dt", "0.002", "--fp-time", "0.1",
                "--beta", "0.5", "--output", str(tmp_path / "fp")) == 0
