@@ -30,7 +30,8 @@ manifest records the library versions and this process's peak RSS.
 
 The only environment variable honored is SQRTWIENER_OUTPUT, an optional
 default output directory used when neither --output nor the config file set
-one.
+one.  An empty output directory, from any of the three, exits 1 before any
+draw: it would be the working directory.
 """
 
 from __future__ import annotations
@@ -178,6 +179,10 @@ class RunConfig:
             raise ConfigError(f"seed must fit in 64 unsigned bits, got {self.seed}")
         if self.csv_max_paths is not None and self.csv_max_paths < 1:
             raise ConfigError(f"csv-paths must be >= 1, got {self.csv_max_paths}")
+        # Path("") is the working directory, whose earlier manifest a run
+        # would act on
+        if self.output_dir == "":
+            raise ConfigError("output_dir must name a directory, got an empty string")
 
     # float() below: a real given as an integer too large for int64 is valid
     @property
@@ -221,6 +226,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             merged[key] = val
     if merged["output_dir"] is None:
         merged["output_dir"] = os.environ.get(ENV_OUTPUT, DEFAULT_OUTPUT)
+        if not merged["output_dir"]:
+            raise ConfigError(f"{ENV_OUTPUT} is set but empty: unset it or name a directory")
     cfg = RunConfig(**merged)
     cfg.validate()
     return cfg

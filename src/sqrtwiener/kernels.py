@@ -37,20 +37,24 @@ imaginary parts of mu and D couple, so run reports carry the measured
 displacement rather than a nominal one.
 
 The Crank-Nicolson matrix depends only on (grid size, dx, dt, mu, D): it is
-factored once per such configuration and the read-only factors are memoized,
-so a caller that steps one call at a time pays one tridiagonal solve per
-step and no refactorization.  The steps advance one profile in place: a new
-array per fp_evolve call, or the caller's out=, which a caller that steps
-one call at a time passes to every call so the profile is allocated once
-per run.
+factored once per such configuration (LAPACK gttrf) and the read-only
+factors are memoized, so a caller that steps one call at a time pays one
+tridiagonal solve (gttrs) per step and no refactorization.  The steps
+advance one profile in place: a new array per fp_evolve call, or the
+caller's out=, which a caller that steps one call at a time passes to every
+call so the profile is allocated once per run.  LAPACK comes from
+scipy.linalg, which the first factorization of a process imports (_lapack),
+so a process that evolves nothing, such as simulate or table1, never loads
+it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
+
 import numpy as np
-from scipy.linalg import LinAlgError, get_lapack_funcs
+from numpy.linalg import LinAlgError
 
 from .process import SqrtParams
 
@@ -236,8 +240,21 @@ def grid_integral(g: GridFunction) -> complex:
 _BOUNDARY_TOL = 1e-8
 _NEAR_BOUNDARY_TOL = 1e-7
 
-# LAPACK's tridiagonal LU factorization and solve, complex double precision
-_GTTRF, _GTTRS = get_lapack_funcs(("gttrf", "gttrs"), dtype=np.complex128)
+
+@cache
+def _lapack():
+    """LAPACK's tridiagonal LU factorization and solve (gttrf, gttrs), complex
+    double precision, imported by the first factorization of a process and
+    kept: importing scipy.linalg adds about 28 MiB to a process's peak RSS,
+    and only fp_evolve solves."""
+    from scipy.linalg import get_lapack_funcs
+
+    return get_lapack_funcs(("gttrf", "gttrs"), dtype=np.complex128)
+
+
+def _GTTRS(*args, **kwargs):
+    """gttrs, looked up by name at every solve so that a test can patch it."""
+    return _lapack()[1](*args, **kwargs)
 
 
 # a few configurations: each entry holds about 68 bytes per grid point
@@ -258,7 +275,8 @@ def _cn_operator(n: int, dx: float, dt: float, drift: complex, diffusion: comple
     sup = np.full(n - 1, -0.5 * dt * up, dtype=np.complex128)
     diag[0] = diag[-1] = 1.0
     sup[0] = sub[-1] = 0.0
-    *factors, info = _GTTRF(sub, diag, sup, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+    gttrf = _lapack()[0]
+    *factors, info = gttrf(sub, diag, sup, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
     if info > 0:
         raise LinAlgError("singular Crank-Nicolson matrix")
     for a in factors:

@@ -17,7 +17,9 @@ therefore independent across paths and bit-stable across platforms and path
 order.  draw_blocks is the one loop that keys and draws these streams, in
 the calling process: it yields the increments one row block of row_blocks at
 a time, and the whole block is then mapped to normals in place (_to_normal,
-which sample_wiener shares).  A block builds one generator and make_rng
+which sample_wiener shares) by scipy.special.ndtri.  The first draw of a
+process imports scipy.special (_ndtri), so a process that draws nothing,
+such as fpsolve, never loads it.  A block builds one generator and make_rng
 re-keys it for each row: a Philox stream is a pure function of its key and
 counter, so setting both gives the bits of a freshly keyed generator without
 the cost of building one per row.  Each row is still keyed by exactly one
@@ -37,11 +39,11 @@ new arrays per block.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterator
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.special import ndtri
 
 __all__ = [
     "RNG_NAME",
@@ -189,10 +191,20 @@ class WienerIncrements:
             )
 
 
+@cache
+def _ndtri():
+    """scipy.special.ndtri, imported by the first draw of a process and
+    kept: importing scipy.special adds about 26 MiB to a process's peak RSS,
+    and fpsolve draws nothing."""
+    from scipy.special import ndtri
+
+    return ndtri
+
+
 def _to_normal(u: np.ndarray, dt: float) -> np.ndarray:
     """Map uniform draws u to N(0, dt) increments in place; returns u."""
     np.maximum(u, _U_FLOOR, out=u)
-    ndtri(u, out=u)
+    _ndtri()(u, out=u)
     u *= np.sqrt(dt)
     return u
 

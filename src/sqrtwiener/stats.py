@@ -231,16 +231,18 @@ def _batch_pv_stderr(rows: np.ndarray) -> complex:
     return _componentwise_stderr(vals)
 
 
-def pooled_pseudo_variance(rows: np.ndarray) -> ComplexStat:
+def pooled_pseudo_variance(rows: np.ndarray, mean: complex | None = None) -> ComplexStat:
     """Pseudo-variance of all entries of a (paths, steps) real or complex
     array; value is bit-identical under row permutation, stderr by batch
-    means over whole-path batches in canonical order."""
+    means over whole-path batches in canonical order.  mean, when given, is
+    pooled_complex_mean(rows).value, which is then not taken again."""
     rows = np.atleast_2d(np.asarray(rows))
     n = rows.size
     if n < 2:
         raise ValueError("pseudo-variance requires at least 2 samples")
-    re_sum, im_sum = _exact_totals(rows, lambda z: (z.real, z.imag))
-    mean = complex(re_sum / n, im_sum / n)
+    if mean is None:
+        re_sum, im_sum = _exact_totals(rows, lambda z: (z.real, z.imag))
+        mean = complex(re_sum / n, im_sum / n)
 
     def squares(z):
         d = z - mean
@@ -341,7 +343,7 @@ def _brownian_row(wiener: WienerEnsemble) -> tuple[SummaryStats, ...]:
     paper_brownian = SummaryStats(mean_stat, var_stat, d_stat, TAG_PAPER_REPORTED)
 
     dw_mean = pooled_complex_mean(wiener.dw)
-    dw_pv = pooled_pseudo_variance(wiener.dw)
+    dw_pv = pooled_pseudo_variance(wiener.dw, dw_mean.value)
     inc_brownian = SummaryStats(
         mean=ComplexStat(dw_mean.value / dt, dw_mean.stderr / dt, dw_mean.n),
         pseudo_variance=ComplexStat(dw_pv.value / dt, _abs_c(dw_pv.stderr / dt), dw_pv.n),
@@ -356,7 +358,7 @@ def _brownian_row(wiener: WienerEnsemble) -> tuple[SummaryStats, ...]:
 def _square_root_row(sqrt_ens: ComplexPathEnsemble, params: SqrtParams) -> tuple[SummaryStats, ...]:
     mu0 = params.mu0
     z_mean = pooled_complex_mean(sqrt_ens.increments)
-    z_pv = pooled_pseudo_variance(sqrt_ens.increments)
+    z_pv = pooled_pseudo_variance(sqrt_ens.increments, z_mean.value)
     mean_n = ComplexStat(z_mean.value / mu0, _abs_c(z_mean.stderr / mu0), z_mean.n)
     pv_n = ComplexStat(z_pv.value / mu0**2, _abs_c(z_pv.stderr / mu0**2), z_pv.n)
     half = ComplexStat(pv_n.value / 2, _abs_c(pv_n.stderr / 2), pv_n.n)
@@ -456,8 +458,9 @@ def fit_gaussian_curve(x, y) -> GaussianFit:
     c0 = float((x * w).sum() / tot) if tot > 0 else float(x.mean())
     s0 = float(np.sqrt(((x - c0) ** 2 * w).sum() / tot)) if tot > 0 else float(x.std())
     s0 = max(s0, float(np.diff(x).min()) / 2 if x.size > 1 else 1.0)
-    # imported here, its only use: importing scipy.optimize costs every CLI
-    # process about 17 MiB, and only kernels fits anything
+    # imported here, its only use: importing scipy.optimize costs a process
+    # about 18 MiB beyond scipy.linalg and scipy.special, which it loads too,
+    # and only kernels fits anything
     from scipy.optimize import OptimizeWarning, curve_fit
 
     try:

@@ -208,6 +208,33 @@ def test_env_var_default_output(tmp_path, monkeypatch):
     assert (target / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "config", "env"])
+def test_empty_output_directory_is_refused_before_any_draw(tmp_path, capsys, monkeypatch,
+                                                           source):
+    # Path("") is the working directory: a run there would delete what the
+    # manifest of an earlier run in it listed
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(ENV_OUTPUT, raising=False)
+    (tmp_path / "manifest.json").write_text(json.dumps({"outputs": ["earlier.csv"]}))
+    (tmp_path / "earlier.csv").write_text("kept\n")
+    argv = ["simulate", "--paths", "2", "--steps", "3"]
+    if source == "flag":
+        argv += ["--output", ""]
+    elif source == "config":
+        (tmp_path / "cfg.json").write_text(json.dumps({"output_dir": ""}))
+        argv += ["--config", "cfg.json"]
+    else:
+        monkeypatch.setenv(ENV_OUTPUT, "")
+    cli = sqrtwiener.cli
+    with mock.patch.object(cli, "integrate_sqrt", wraps=cli.integrate_sqrt) as draw:
+        assert run(*argv) == 1
+    draw.assert_not_called()
+    assert (ENV_OUTPUT if source == "env" else "output_dir") in capsys.readouterr().err
+    names = {p.name for p in tmp_path.iterdir()} - {"cfg.json"}
+    assert names == {"manifest.json", "earlier.csv"}
+    assert (tmp_path / "earlier.csv").read_text() == "kept\n"
+
+
 def test_csv_downsampling(tmp_path):
     out = tmp_path / "ds"
     assert run("simulate", "--paths", "9", "--steps", "6", "--csv-paths", "2",

@@ -158,10 +158,35 @@ def test_fp_evolve_keeps_the_parameters_the_replay_reads():
         assert q.default is not inspect.Parameter.empty, f"fp_evolve's {q.name} has no default"
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    # only the Gaussian fits use scipy.optimize, and they import it themselves
+SCIPY_MODULES = ("scipy.linalg", "scipy.special", "scipy.optimize")
+
+
+def _scipy_modules_loaded(argv: list[str]) -> set[str]:
+    """Which of SCIPY_MODULES a fresh process has loaded after importing the
+    CLI and, given argv, running it (the last line of its stdout)."""
     src = str(Path(sqrtwiener.__file__).resolve().parents[1])
-    code = "import sys, sqrtwiener.cli; print('scipy.optimize' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                            check=True, env=dict(os.environ, PYTHONPATH=src))
-    assert result.stdout.strip() == "False"
+    code = (
+        "import sys, sqrtwiener.cli\n"
+        "if sys.argv[1:]:\n"
+        "    assert sqrtwiener.cli.main(sys.argv[1:]) == 0\n"
+        f"print(*[m for m in {SCIPY_MODULES!r} if m in sys.modules])"
+    )
+    result = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                            text=True, check=True, env=dict(os.environ, PYTHONPATH=src))
+    return set(result.stdout.splitlines()[-1].split())
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # only the Gaussian fits use scipy.optimize, only the draws scipy.special
+    # and only the Crank-Nicolson solves scipy.linalg; each imports its own
+    assert _scipy_modules_loaded([]) == set()
+
+
+@pytest.mark.parametrize("argv, unloaded", [
+    (["simulate", "--paths", "3", "--steps", "4"], {"scipy.linalg", "scipy.optimize"}),
+    (["table1", "--paths", "3", "--steps", "4"], {"scipy.linalg", "scipy.optimize"}),
+    (["fpsolve", "--grid-points", "256"], {"scipy.special", "scipy.optimize"}),
+], ids=["simulate", "table1", "fpsolve"])
+def test_subcommand_leaves_the_scipy_modules_it_never_calls_unloaded(tmp_path, argv, unloaded):
+    loaded = _scipy_modules_loaded([*argv, "--output", str(tmp_path / "out")])
+    assert loaded == set(SCIPY_MODULES) - unloaded

@@ -18,6 +18,7 @@ Frozen oracle values used below (dt = 0.001, mu0 = 1/2, beta = 0):
 import hashlib
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -156,6 +157,37 @@ def test_pooled_stats_row_permutation_bit_exact():
     assert a_m.value == b_m.value and a_m.stderr == b_m.stderr
     a_v, b_v = pooled_pseudo_variance(rows), pooled_pseudo_variance(rows[perm])
     assert a_v.value == b_v.value and a_v.stderr == b_v.stderr
+
+
+def _bits(stat: ComplexStat) -> bytes:
+    return np.array([stat.value, stat.stderr]).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_cols=st.integers(300, 2000),
+    full_blocks=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    real=st.booleans(),
+)
+def test_pseudo_variance_given_the_pooled_mean_has_the_bits_of_its_own(
+        n_cols, full_blocks, seed, real):
+    per_block = next(row_blocks(10**6, n_cols)).stop
+    rng = np.random.default_rng(seed)
+    # a last block that only part fills
+    n_rows = full_blocks * per_block + int(rng.integers(1, per_block))
+    rows = rng.normal(0.3, 2.0, (n_rows, n_cols))
+    if not real:
+        rows = rows + 1j * rng.normal(-0.7, 0.5, (n_rows, n_cols))
+    assert n_rows % per_block
+    totals = mock.Mock(wraps=stats._exact_totals)
+    with mock.patch.object(stats, "_exact_totals", totals):
+        mean = pooled_complex_mean(rows).value
+        passes = totals.call_count
+        given_mean = pooled_pseudo_variance(rows, mean)
+        # the mean is not taken again: one pass, the squared deviations
+        assert totals.call_count == passes + 1
+    assert _bits(given_mean) == _bits(pooled_pseudo_variance(rows))
 
 
 def test_summary_tag_policy():
