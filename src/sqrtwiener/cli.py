@@ -14,8 +14,9 @@ fpsolve    Crank-Nicolson evolution of the complex advection-diffusion
 Configuration precedence is flags > JSON config file > defaults; the
 effective configuration is echoed into every manifest.  The defaults
 reproduce the reference Monte Carlo protocol (20000 paths of 1000 steps at
-dt = 0.001, mu0 = 1/2, beta = 0); a subcommand's own flags and defaults
-live in its argparse subparser only.  Exit codes: 0 success, 1 configuration
+dt = 0.001, mu0 = 1/2, beta = 0).  A subcommand reads the RunConfig fields
+its argparse subparser has flags for, and no other: a config file setting
+another off its default exits 1.  Exit codes: 0 success, 1 configuration
 error, library ValueError, arithmetic out of float range (also emitted
 numbers that are not all finite; the message names dt, mu0 and beta) or
 sizes beyond memory or beyond numpy's array range (the message names the
@@ -23,10 +24,11 @@ sizes: n_paths x n_steps, x-points, bins or grid-points; those beyond the
 range are refused before any draw), 2 I/O error.  Every file is written to
 a temporary file (process.replaced_atomically) and renamed into place, and a
 run makes its output directory only after its draws or its evolution
-succeeded.  A run writes its manifest last, after deleting the files that
-the directory's previous manifest listed and the new one does not, and the
-temporary files a killed run left for any name either manifest lists; the
-manifest records the library versions and this process's peak RSS.
+succeeded.  A run writes its manifest, which lists every file it wrote,
+last, after deleting the files that the directory's previous manifest
+listed and the new one does not, and the temporary files a killed run left
+for any name either manifest lists; the manifest records the library
+versions and this process's peak RSS.
 
 The only environment variable honored is SQRTWIENER_OUTPUT, an optional
 default output directory used when neither --output nor the config file set
@@ -44,6 +46,7 @@ import json
 import math
 import os
 import platform
+import re
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -218,6 +221,11 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         unknown = set(file_cfg) - _CONFIG_KEYS
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        # a field the subcommand has no flag for is one it does not read
+        unread = sorted(k for k, v in file_cfg.items() if k not in vars(args) and v != merged[k])
+        if unread:
+            raise ConfigError(f"{args.command} does not read {', '.join(unread)}: "
+                              "leave it out of the config file or at its default")
         merged.update(file_cfg)
     # each flag's argparse dest is the RunConfig field it sets
     for key in _CONFIG_KEYS:
@@ -290,16 +298,18 @@ def _peak_rss_mb() -> float | None:
     return peak / 2**20 if sys.platform == "darwin" else peak / 1024  # bytes on macOS, else KiB
 
 
-def _write_manifest(out: Path, manifest: dict, reports: dict[str, dict] | None = None) -> None:
-    """Record this process's peak RSS so far in manifest, write each report
-    (reports embed the manifest), then write manifest.json, first deleting
-    the files the old manifest in out listed that this one does not, and
-    the temporary files a killed run left for any name either manifest
-    lists.  Only bare file names inside out are deleted, and an unreadable
-    old manifest deletes nothing that this run's manifest does not name."""
+def _write_manifest(out: Path, manifest: dict, written: list[str], reports: dict) -> None:
+    """List written, the reports and manifest.json as outputs and record this
+    process's peak RSS so far in manifest, write each report (manifest first),
+    then write manifest.json, first deleting the files the old manifest in
+    out listed that this one does not, and the temporary files a killed run
+    left for any name either manifest lists.  Only bare file names inside out
+    are deleted, and an unreadable old manifest deletes nothing that this
+    run's manifest does not name."""
+    manifest["outputs"] = [*written, *reports, "manifest.json"]
     manifest["peak_rss_mb"] = _peak_rss_mb()
-    for name, report in (reports or {}).items():
-        _write_json(out / name, report)
+    for name, body in reports.items():
+        _write_json(out / name, {"manifest": manifest, **body})
     try:
         old = json.loads((out / "manifest.json").read_text())["outputs"]
     except (OSError, ValueError, LookupError, TypeError):
@@ -372,8 +382,7 @@ def cmd_simulate(config: RunConfig, args: argparse.Namespace) -> int:
         ens, csv_path, max_paths=config.csv_max_paths,
         header_lines=manifest_header_lines(manifest),
     )
-    manifest["outputs"] = [name, "manifest.json"]
-    _write_manifest(out, manifest)
+    _write_manifest(out, manifest, [name], {})
     print(f"simulate: {config.n_paths} paths x {config.n_steps} steps -> {csv_path}")
     print(f"increment_digest {digest}")
     return 0
@@ -413,8 +422,8 @@ def cmd_table1(config: RunConfig, args: argparse.Namespace) -> int:
 
     bro = table.by_tag("brownian", st.TAG_PAPER_REPORTED)
     sq = table.by_tag("square_root", st.TAG_PAPER_REPORTED)
+    bro_pub, sq_pub = PUBLISHED_REFERENCE["brownian"], PUBLISHED_REFERENCE["square_root"]
     report = {
-        "manifest": manifest,
         "published": PUBLISHED_REFERENCE,
         "measured_paper_reported": {
             "brownian": _summary_json(bro),
@@ -425,17 +434,12 @@ def cmd_table1(config: RunConfig, args: argparse.Namespace) -> int:
             "square_root": [_summary_json(s) for s in table.square_root],
         },
         "differences_vs_published": {
-            "brownian_mean": bro.mean.value.real - PUBLISHED_REFERENCE["brownian"]["mean"][0],
-            "brownian_variance": bro.pseudo_variance.value.real
-            - PUBLISHED_REFERENCE["brownian"]["variance"][0],
-            "brownian_diffusion": bro.diffusion.value.real
-            - PUBLISHED_REFERENCE["brownian"]["diffusion"][0],
-            "square_root_mean_re": sq.mean.value.real
-            - PUBLISHED_REFERENCE["square_root"]["mean_re"][0],
-            "square_root_mean_im": sq.mean.value.imag
-            - PUBLISHED_REFERENCE["square_root"]["mean_im"][0],
-            "square_root_variance_im": sq.pseudo_variance.value.imag
-            - PUBLISHED_REFERENCE["square_root"]["variance_im"][0],
+            "brownian_mean": bro.mean.value.real - bro_pub["mean"][0],
+            "brownian_variance": bro.pseudo_variance.value.real - bro_pub["variance"][0],
+            "brownian_diffusion": bro.diffusion.value.real - bro_pub["diffusion"][0],
+            "square_root_mean_re": sq.mean.value.real - sq_pub["mean_re"][0],
+            "square_root_mean_im": sq.mean.value.imag - sq_pub["mean_im"][0],
+            "square_root_variance_im": sq.pseudo_variance.value.imag - sq_pub["variance_im"][0],
         },
         "notes": (
             "the square-root mean estimator carries the modulus term of the "
@@ -443,13 +447,13 @@ def cmd_table1(config: RunConfig, args: argparse.Namespace) -> int:
             "the published 0.4986/0.5016; the discrepancy is reported, not tuned away"
         ),
     }
-    manifest["outputs"] = ["table1.csv", "table1_report.json", "manifest.json"]
-    _write_manifest(out, manifest, {"table1_report.json": report})
+    _write_manifest(out, manifest, [csv_path.name], {"table1_report.json": report})
     print(f"table1: wrote {csv_path}")
     print(
         "brownian temporal variance "
-        f"{bro.pseudo_variance.value.real:.5f} (published 0.1667), "
-        f"square-root variance {sq.pseudo_variance.value.imag:+.5f}i (published -0.2491i)"
+        f"{bro.pseudo_variance.value.real:.5f} (published {bro_pub['variance'][0]}), "
+        f"square-root variance {sq.pseudo_variance.value.imag:+.5f}i "
+        f"(published {sq_pub['variance_im'][0]}i)"
     )
     return 0
 
@@ -465,7 +469,7 @@ def cmd_kernels(config: RunConfig, args: argparse.Namespace) -> int:
         _require_allocatable(f"bins = {bins}", bins)
     # analytic side first, so that a t or x range it refuses makes no output
     where = f"t = {t}, x_min = {x_min}, x_max = {x_max}"
-    with _memory_for(f"x-points = {x_points}"), np.errstate(all="ignore"):
+    with _memory_for(f"x-points = {x_points}"):
         x = np.linspace(x_min, x_max, x_points)
         dx = x[1] - x[0]
         osc = kn.schrodinger_kernel(x, t)
@@ -498,13 +502,7 @@ def cmd_kernels(config: RunConfig, args: argparse.Namespace) -> int:
     fits = {}
     for label, hist in (("wiener_terminal", hist_w), ("sqrt_wick_rotated", hist_s)):
         try:
-            g = st.gaussian_fit(hist)
-            fits[label] = {
-                "amplitude": g.amplitude,
-                "center": g.center,
-                "sigma": g.sigma,
-                "r_squared": g.r_squared,
-            }
+            fits[label] = dataclasses.asdict(st.gaussian_fit(hist))
         except st.FitError as exc:
             fits[label] = {"error": str(exc)}
 
@@ -527,7 +525,8 @@ def cmd_kernels(config: RunConfig, args: argparse.Namespace) -> int:
         out / "kernel_curves.csv", comments, "x,re,im,modulus,heat,wick",
         column_blocks(curves, "%.17g," * 5 + "%.17g\n"),
     )
-    for name, h in (("hist_wiener_terminal.csv", hist_w), ("hist_sqrt_wick.csv", hist_s)):
+    hists = {"hist_wiener_terminal.csv": hist_w, "hist_sqrt_wick.csv": hist_s}
+    for name, h in hists.items():
         columns = [h.bin_edges[:-1], h.bin_edges[1:], h.counts, h.density()]
         write_csv(
             out / name, comments, "bin_lo,bin_hi,count,density",
@@ -536,7 +535,6 @@ def cmd_kernels(config: RunConfig, args: argparse.Namespace) -> int:
 
     center_shift = fits.get("sqrt_wick_rotated", {}).get("center")
     report = {
-        "manifest": manifest,
         "t": t,
         "max_abs_wick_minus_heat": max_wick_err,
         "l2_wick_minus_heat": l2_wick_err,
@@ -551,14 +549,7 @@ def cmd_kernels(config: RunConfig, args: argparse.Namespace) -> int:
             center_shift is not None and abs(center_shift) > 0
         ),
     }
-    manifest["outputs"] = [
-        "kernel_curves.csv",
-        "hist_wiener_terminal.csv",
-        "hist_sqrt_wick.csv",
-        "kernels_report.json",
-        "manifest.json",
-    ]
-    _write_manifest(out, manifest, {"kernels_report.json": report})
+    _write_manifest(out, manifest, ["kernel_curves.csv", *hists], {"kernels_report.json": report})
     print(
         f"kernels: max|wick-heat| = {max_wick_err:.3e}, "
         f"fits R^2 = {[f.get('r_squared') for f in fits.values()]}"
@@ -629,8 +620,7 @@ def cmd_fpsolve(config: RunConfig, args: argparse.Namespace) -> int:
     x = np.linspace(-half, half, grid_points)
     # far from the centre the exponent's square overflows to inf: those
     # points are 0, and a packet 0 everywhere is refused below
-    with np.errstate(over="ignore", invalid="ignore"):
-        init = kn.GridFunction(-half, half, kn.gaussian_packet(x, 0.0, sigma0, p))
+    init = kn.GridFunction(-half, half, kn.gaussian_packet(x, 0.0, sigma0, p))
     # a drift of large |beta| widens the domain until no grid point is near
     # enough to the packet's centre to hold a nonzero amplitude
     if not init.values.any():
@@ -692,7 +682,6 @@ def cmd_fpsolve(config: RunConfig, args: argparse.Namespace) -> int:
     mod1 = np.abs(current.values)
     closed_err = np.abs(current.values - kn.gaussian_packet(x, fp_time, sigma0, p))
     report = {
-        "manifest": manifest,
         "mass_initial": [mass_arr[0].real, mass_arr[0].imag],
         "mass_final": [mass_arr[-1].real, mass_arr[-1].imag],
         "max_per_step_mass_drift": per_step_drift,
@@ -705,8 +694,7 @@ def cmd_fpsolve(config: RunConfig, args: argparse.Namespace) -> int:
         "heat_mode_validation": _fp_heat_validation(),
         "self_convergence": _fp_convergence_study(p),
     }
-    manifest["outputs"] = names + ["fp_report.json", "manifest.json"]
-    _write_manifest(out, manifest, {"fp_report.json": report})
+    _write_manifest(out, manifest, names, {"fp_report.json": report})
     print(
         f"fpsolve: mass drift {per_step_drift:.3e}/step, "
         f"heat-mode Linf {report['heat_mode_validation']['l_inf_error']:.3e}, "
@@ -720,39 +708,48 @@ def cmd_fpsolve(config: RunConfig, args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a value like -1e-3 is a number (argparse takes -5 and -.5 only)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):  # noqa: D102 - argparse hook
         raise ConfigError(message)
 
 
 def _build_parser() -> _Parser:
+    # a subcommand offers the flags of the RunConfig fields it reads; fpsolve
+    # draws nothing, but takes --seed, which its manifest records
     common = _Parser(add_help=False)
-    common.add_argument("--paths", dest="n_paths", metavar="PATHS", type=int, default=None,
-                        help="number of paths")
-    common.add_argument("--steps", dest="n_steps", metavar="STEPS", type=int, default=None,
-                        help="steps per path")
-    common.add_argument("--dt", type=_finite_float, default=None, help="time step")
     common.add_argument("--mu0", type=_finite_float, default=None, help="scale factor")
     common.add_argument("--beta", type=_finite_float, default=None, help="drift constant")
     common.add_argument("--seed", type=int, default=None, help="master seed (uint64)")
     common.add_argument("--output", dest="output_dir", metavar="OUTPUT", type=str, default=None,
                         help="output directory")
     common.add_argument("--config", type=str, default=None, help="JSON config file")
-    common.add_argument("--no-compress", dest="compress", action="store_const",
-                        const=False, default=None, help="disable gzip of large CSVs")
+
+    draws = _Parser(add_help=False)
+    draws.add_argument("--paths", dest="n_paths", metavar="PATHS", type=int, default=None,
+                       help="number of paths")
+    draws.add_argument("--steps", dest="n_steps", metavar="STEPS", type=int, default=None,
+                       help="steps per path")
+    draws.add_argument("--dt", type=_finite_float, default=None, help="time step")
 
     parser = _Parser(prog="sqrtwiener",
                      description="complex square-root-of-Wiener process toolkit")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p_sim = sub.add_parser("simulate", parents=[common], help="integrate the ensemble")
+    p_sim = sub.add_parser("simulate", parents=[draws, common], help="integrate the ensemble")
+    p_sim.add_argument("--no-compress", dest="compress", action="store_const",
+                       const=False, default=None, help="disable gzip of large CSVs")
     p_sim.add_argument("--csv-paths", dest="csv_max_paths", metavar="CSV_PATHS", type=int,
                        default=None, help="down-sample the CSV to this many paths")
     p_sim.set_defaults(run=cmd_simulate)
 
-    p_t = sub.add_parser("table1", parents=[common], help="summary statistics reproduction")
+    p_t = sub.add_parser("table1", parents=[draws, common], help="summary statistics reproduction")
     p_t.set_defaults(run=cmd_table1)
 
-    p_k = sub.add_parser("kernels", parents=[common], help="kernel curves and histograms")
+    p_k = sub.add_parser("kernels", parents=[draws, common], help="kernel curves and histograms")
     p_k.add_argument("--t", type=_finite_float, default=1.0, help="kernel time")
     p_k.add_argument("--x-min", type=_finite_float, default=-5.0)
     p_k.add_argument("--x-max", type=_finite_float, default=5.0)
@@ -782,7 +779,8 @@ def main(argv=None) -> int:
             elements = config.n_paths * config.n_steps
         _require_allocatable(sizes, elements)
         try:
-            with _memory_for(sizes):
+            # arithmetic out of float range is refused by the checks after it
+            with _memory_for(sizes), np.errstate(all="ignore"):
                 return args.run(config, args)
         except ArithmeticError as exc:
             raise ConfigError(

@@ -350,10 +350,11 @@ def test_failed_write_keeps_the_earlier_file_and_no_temporary(tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["r.json", "t.csv", "t.csv.gz"]
 
 
-@pytest.mark.parametrize("command", ["simulate", "table1", "kernels"])
+@pytest.mark.parametrize("command", ["simulate", "table1", "kernels", "fpsolve"])
 def test_manifest_records_peak_rss_and_versions(tmp_path, command):
     out = tmp_path / "run"
-    argv = (command, "--paths", "40", "--steps", "16", "--output", str(out))
+    sizes = ("--grid-points", "256") if command == "fpsolve" else ("--paths", "40", "--steps", "16")
+    argv = (command, *sizes, "--output", str(out))
     assert run(*argv) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["peak_rss_mb"] > 0
@@ -582,8 +583,12 @@ def test_fpsolve_refuses_an_initial_packet_that_vanishes(tmp_path, capsys, monke
 ], ids=["simulate-mu0", "table1-mu0", "table1-beta-dt", "kernels-dt", "kernels-mu0"])
 def test_runs_whose_numbers_leave_float_range_are_refused(tmp_path, capsys, argv, field):
     # finite flags whose increments, statistics or terminal samples are inf
-    # or nan: the run emits nothing rather than a file of nan
-    _refused(tmp_path, capsys, argv, field)
+    # or nan: the run emits nothing rather than a file of nan, and says so
+    # alone, with no numpy warning about the arithmetic beside it
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _refused(tmp_path, capsys, argv, field)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def _no_evolution(*args, **kwargs):
@@ -612,8 +617,7 @@ def test_kernels_rejects_bad_bins_before_drawing(tmp_path, capsys, monkeypatch, 
 
 def test_fpsolve_outputs(tmp_path):
     out = tmp_path / "fp"
-    assert run("fpsolve", "--paths", "2", "--steps", "2", "--fp-dt", "0.002",
-               "--output", str(out)) == 0
+    assert run("fpsolve", "--fp-dt", "0.002", "--output", str(out)) == 0
     report = json.loads((out / "fp_report.json").read_text())
     assert report["heat_mode_validation"]["l_inf_error"] <= 1e-6
     assert report["max_per_step_mass_drift"] <= 1e-8
@@ -725,6 +729,64 @@ def test_memory_error_exits_1_naming_the_size(tmp_path, capsys):
         assert "n_paths = 1000000000000" in err and "n_steps = 1000" in err
         assert "Traceback" not in err
         assert not out.exists(), command
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("fpsolve", "--paths", "2"), "--paths"),
+    (("fpsolve", "--steps", "2"), "--steps"),
+    (("fpsolve", "--dt", "0.1"), "--dt"),
+    (("fpsolve", "--no-compress"), "--no-compress"),
+    (("table1", "--paths", "40", "--steps", "16", "--no-compress"), "--no-compress"),
+    (("kernels", "--paths", "40", "--steps", "16", "--no-compress"), "--no-compress"),
+], ids=["fpsolve-paths", "fpsolve-steps", "fpsolve-dt", "fpsolve-no-compress",
+        "table1-no-compress", "kernels-no-compress"])
+def test_subcommands_refuse_flags_of_fields_they_do_not_read(tmp_path, capsys, monkeypatch,
+                                                              argv, flag):
+    # fpsolve draws nothing, and only simulate writes an ensemble CSV: such a
+    # flag would change the manifest and config_digest, not the numbers
+    monkeypatch.setattr("sqrtwiener.cli.wiener_ensemble", _no_draws)
+    monkeypatch.setattr("sqrtwiener.cli.integrate_sqrt", _no_draws)
+    monkeypatch.setattr("sqrtwiener.kernels.fp_evolve", _no_evolution)
+    _refused(tmp_path, capsys, argv, flag)
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("fpsolve", {"n_paths": 5}),
+    ("table1", {"compress": False}),
+], ids=["fpsolve-n_paths", "table1-compress"])
+def test_config_fields_a_subcommand_does_not_read_are_refused(tmp_path, capsys, monkeypatch,
+                                                               command, doc):
+    monkeypatch.setattr("sqrtwiener.cli.wiener_ensemble", _no_draws)
+    monkeypatch.setattr("sqrtwiener.cli.integrate_sqrt", _no_draws)
+    monkeypatch.setattr("sqrtwiener.kernels.fp_evolve", _no_evolution)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    _refused(tmp_path, capsys, (command, "--config", str(cfg)),
+             f"{command} does not read {next(iter(doc))}")
+
+
+def test_config_fields_a_subcommand_does_not_read_may_hold_their_defaults(tmp_path):
+    # fpsolve reads no n_paths, and takes seed for its manifest
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_paths": 20000, "seed": 5}))
+    out = tmp_path / "fp"
+    assert run("fpsolve", "--grid-points", "256", "--config", str(cfg), "--output", str(out)) == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert config["seed"] == 5 and config["n_paths"] == 20000
+
+
+@pytest.mark.parametrize("argv, key, value", [
+    (("simulate", "--paths", "3", "--steps", "4", "--beta", "-1e-3"), ("config", "beta"), -1e-3),
+    (("simulate", "--paths", "3", "--steps", "4", "--mu0", "-5e-1"), ("config", "mu0"), -0.5),
+    (("kernels", "--paths", "40", "--steps", "16", "--x-min", "-2e0"), ("x_min",), -2.0),
+], ids=["beta", "mu0", "x-min"])
+def test_negative_reals_in_exponent_notation_are_flag_values(tmp_path, argv, key, value):
+    out = tmp_path / "run"
+    assert run(*argv, "--output", str(out)) == 0
+    recorded = json.loads((out / "manifest.json").read_text())
+    for k in key:
+        recorded = recorded[k]
+    assert recorded == value
 
 
 @pytest.mark.parametrize("command", ["table1", "kernels"])
