@@ -58,7 +58,9 @@ import scipy
 from . import __version__
 from . import kernels as kn
 from . import stats as st
-from .paths import RNG_NAME, TimeGrid, cumulative_terminal, row_blocks, wiener_ensemble
+from .paths import (
+    DRAW_THREADS, RNG_NAME, TimeGrid, cumulative_terminal, row_blocks, wiener_ensemble,
+)
 from .process import (
     SqrtParams,
     array_digest,
@@ -370,7 +372,7 @@ def cmd_simulate(config: RunConfig, args: argparse.Namespace) -> int:
     ens = integrate_sqrt(config.grid, config.n_paths, config.params, config.seed)
     _require_finite("square-root increments", ens.increments)
     digest = ensemble_digest(ens)
-    manifest = make_manifest("simulate", config, digest)
+    manifest = make_manifest("simulate", config, digest, draw_threads=DRAW_THREADS)
     out = _prepare_output(config)
 
     rows = config.n_paths * config.n_steps
@@ -406,7 +408,8 @@ def cmd_table1(config: RunConfig, args: argparse.Namespace) -> int:
                 for c in (s.mean, s.pseudo_variance, s.diffusion) for z in (c.value, c.stderr)]
     _require_finite("table1 statistics", np.array(reported))
 
-    manifest = make_manifest("table1", config, digest, wiener_digest=wiener_digest)
+    manifest = make_manifest("table1", config, digest, wiener_digest=wiener_digest,
+                             draw_threads=DRAW_THREADS)
     comments = manifest_header_lines(manifest)
     out = _prepare_output(config)
 
@@ -509,6 +512,7 @@ def cmd_kernels(config: RunConfig, args: argparse.Namespace) -> int:
     digest = ensemble_digest(sqrt_ens)
     manifest = make_manifest(
         "kernels", config, digest,
+        draw_threads=DRAW_THREADS,
         empirical_interpretation="squared-terminal-values",
         kernel_t=t,
         x_min=x_min,

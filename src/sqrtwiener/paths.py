@@ -12,34 +12,31 @@ event has probability zero for continuous draws anyway.
 
 Reproducibility contract: every path owns a counter-based Philox stream
 keyed directly by (master_seed, path_index), and every increment consumes
-exactly one uniform draw mapped through the inverse normal CDF.  Streams are
-therefore independent across paths and bit-stable across platforms and path
-order.  draw_blocks is the one loop that keys and draws these streams, in
-the calling process: it yields the increments one row block of row_blocks at
-a time, and the whole block is then mapped to normals in place (_to_normal,
-which sample_wiener shares) by scipy.special.ndtri.  The first draw of a
-process imports scipy.special (_ndtri), so a process that draws nothing,
-such as fpsolve, never loads it.  A block builds one generator and make_rng
-re-keys it for each row: a Philox stream is a pure function of its key and
-counter, so setting both gives the bits of a freshly keyed generator without
-the cost of building one per row.  Each row is still keyed by exactly one
-make_rng call, the function the benchmark's replay counts streams at.  Every
-ensemble is built from these blocks as they are drawn: wiener_ensemble
-copies them into its increments, and integrate_sqrt in process brackets
-them straight into its own, so no whole drawn dw is held beside an output.
+exactly one uniform draw mapped through the inverse normal CDF
+(scipy.special.ndtri, imported by the first draw of a process).  Streams are
+therefore independent across paths and bit-stable across platforms, path
+order and the thread that maps them.  draw_blocks is the one loop that keys
+and draws these streams.  The calling thread keys each row with one make_rng
+call, re-keying one generator, and fills 1 MiB of uniforms at a time; one
+helper thread maps each such hand-off to normals in place (_to_normal, which
+sample_wiener shares) while the caller fills the next, with at most two
+hand-offs in flight.  wiener_ensemble copies the blocks into its
+increments, and integrate_sqrt in process brackets them into its own, so no
+whole drawn dw is held beside an output.
 
-Every pass over a whole ensemble (the draws, integrate_sqrt's bracket in
-process, the cumulative terminal column here, the pooled reductions in
-stats) walks it in the row blocks of row_blocks, so its temporaries are set
-by one block, not by n_paths x n_steps.  The bracket writes each block's
-phases into views of one block_scratch buffer allocated per call, not into
-new arrays per block.
+Every pass over a whole ensemble walks it in the row blocks of row_blocks,
+so its temporaries are set by one block, not by n_paths x n_steps.
 """
 
 from __future__ import annotations
 
+import contextvars
+import queue
+import threading
+from collections import deque
 from dataclasses import dataclass
 from functools import cache
+from itertools import islice
 from typing import Iterator
 
 import numpy as np
@@ -47,6 +44,7 @@ from numpy.random import Generator, Philox
 
 __all__ = [
     "RNG_NAME",
+    "DRAW_THREADS",
     "TimeGrid",
     "SeedSpec",
     "WienerIncrements",
@@ -112,6 +110,17 @@ class SeedSpec:
 # one row): bounds the temporaries of the pass by one block, and keeps
 # integrate_sqrt's bracket in cache.
 _BLOCK_ELEMENTS = 1 << 14
+
+
+# A draw hands the helper thread about this many uniforms at a time (1 MiB
+# of float64, 8 row blocks at 1000 steps), with at most _IN_FLIGHT hand-offs
+# handed over and not yet read back.  Handing off single row blocks gains
+# nothing: the helper keeps losing the GIL to the caller's per-row keying.
+_HANDOFF_ELEMENTS = 1 << 17
+_IN_FLIGHT = 2
+
+# Threads a draw runs on: the calling thread and one helper.
+DRAW_THREADS = 2
 
 
 def _rows_per_block(n_cols: int) -> int:
@@ -278,14 +287,61 @@ class WienerEnsemble:
         return cumulative_paths(self.dw)
 
 
-def _draw_block(dt: float, n_steps: int, master_seed: int, rows: slice) -> tuple[slice, np.ndarray]:
-    """rows and the increments of the streams SeedSpec(master_seed, p), p in
-    rows, one row each, drawn by one generator re-keyed per row."""
-    block = np.empty((rows.stop - rows.start, n_steps))
-    rng = Generator(Philox(0))  # its seed is overwritten by every row's key
-    for p, row in zip(range(rows.start, rows.stop), block):
+def _uniforms(rng: Generator, n_steps: int, master_seed: int, rows: slice) -> np.ndarray:
+    """The uniforms of the streams SeedSpec(master_seed, p), p in rows, one
+    row each, drawn by rng re-keyed per row."""
+    u = np.empty((rows.stop - rows.start, n_steps))
+    for p, row in zip(range(rows.start, rows.stop), u):
         make_rng(SeedSpec(master_seed, p), rng).random(out=row)
-    return rows, _to_normal(block, dt)
+    return u
+
+
+def _normals(todo: queue.Queue, done: queue.Queue, dt: float) -> None:
+    """The helper thread's loop: map each array from todo to normals in
+    place and put it on done, in order, until todo yields None.  An
+    exception is put on done in place of the array, and ends the loop."""
+    while (u := todo.get()) is not None:
+        try:
+            done.put(_to_normal(u, dt))
+        except BaseException as exc:  # raised again by the calling thread
+            done.put(exc)
+            return
+
+
+def _handed_back(done: queue.Queue, group: list[slice]) -> Iterator[tuple[slice, np.ndarray]]:
+    """(rows, dw) for each row block of group, as views of the next array
+    on done."""
+    dw = done.get()
+    if isinstance(dw, BaseException):
+        raise dw
+    lo = group[0].start
+    for rows in group:
+        yield rows, dw[rows.start - lo : rows.stop - lo]
+
+
+def _pipelined(grid: TimeGrid, n_rows: int, master_seed: int) -> Iterator[tuple[slice, np.ndarray]]:
+    blocks = row_blocks(n_rows, grid.n_steps)
+    per_handoff = max(1, _HANDOFF_ELEMENTS // (_rows_per_block(grid.n_steps) * grid.n_steps))
+    rng = Generator(Philox(0))  # its seed is overwritten by every row's key
+    in_flight: deque[list[slice]] = deque()
+    todo: queue.Queue = queue.Queue()
+    done: queue.Queue = queue.Queue()
+    # the helper runs under the caller's context, so under its np.errstate
+    helper = threading.Thread(target=contextvars.copy_context().run,
+                              args=(_normals, todo, done, grid.dt), daemon=True)
+    helper.start()
+    try:
+        while group := list(islice(blocks, per_handoff)):
+            rows = slice(group[0].start, group[-1].stop)
+            todo.put(_uniforms(rng, grid.n_steps, master_seed, rows))
+            in_flight.append(group)
+            if len(in_flight) == _IN_FLIGHT:
+                yield from _handed_back(done, in_flight.popleft())
+        while in_flight:
+            yield from _handed_back(done, in_flight.popleft())
+    finally:
+        todo.put(None)
+        helper.join()
 
 
 def draw_blocks(
@@ -296,14 +352,17 @@ def draw_blocks(
     rows, row p - rows.start being stream p.
 
     This is the one loop that keys a stream per row.  The arguments are
-    checked here, before any block is drawn, and the blocks are made only
-    as they are read.
+    checked here, before any block is drawn.  The helper thread starts when
+    the first block is read, under the caller's context as it is then, and
+    is joined when the blocks end, the iterator is closed or either thread
+    raises; an exception raised on the helper is raised to the reader.
+    Each yielded dw is a view of its own hand-off's array, valid after the
+    reader moves on.
     """
     if n_rows < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_rows}")
     SeedSpec(master_seed)  # range check
-    blocks = row_blocks(n_rows, grid.n_steps)
-    return (_draw_block(grid.dt, grid.n_steps, master_seed, rows) for rows in blocks)
+    return _pipelined(grid, n_rows, master_seed)
 
 
 def serial_only(workers: int) -> None:

@@ -9,6 +9,7 @@ import json
 import os
 import platform
 import tempfile
+import threading
 import time
 import tracemalloc
 import warnings
@@ -31,7 +32,7 @@ from sqrtwiener.cli import (
     ensemble_csv_name,
     main,
 )
-from sqrtwiener.paths import RNG_NAME
+from sqrtwiener.paths import DRAW_THREADS, RNG_NAME
 
 
 def run(*argv):
@@ -374,6 +375,25 @@ def test_manifest_records_peak_rss_and_versions(tmp_path, command):
     assert rerun["config_digest"] == manifest["config_digest"]
     assert {n: (out / n).read_bytes() for n in csvs} == first  # headers and bodies
 
+
+
+@pytest.mark.parametrize("command", ["simulate", "table1", "kernels"])
+def test_runs_that_draw_leave_no_thread(tmp_path, command):
+    before = threading.active_count()
+    assert run(command, "--paths", "40", "--steps", "16", "--output", str(tmp_path)) == 0
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("command", ["simulate", "table1", "kernels", "fpsolve"])
+def test_manifest_records_draw_threads_for_runs_that_draw(tmp_path, command):
+    sizes = ("--grid-points", "256") if command == "fpsolve" else ("--paths", "40", "--steps", "16")
+    assert run(command, *sizes, "--output", str(tmp_path)) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    if command == "fpsolve":  # draws nothing
+        assert "draw_threads" not in manifest
+    else:
+        assert manifest["draw_threads"] == DRAW_THREADS == 2
+    assert "draw_threads" not in manifest["config"]  # nor in config_digest
 
 
 def test_peak_rss_units_and_missing_resource_module(monkeypatch):

@@ -2,6 +2,8 @@
 the sign / modulus / unit-phase sequences."""
 
 import csv
+import threading
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -272,9 +274,10 @@ def test_wiener_ensemble_rejects_empty():
 
 @pytest.mark.parametrize(
     "n_rows, n_steps, n_blocks",
-    [(37, 1000, 3), (3, paths._BLOCK_ELEMENTS + 5, 3), (1, 64, 1), (40, 7, 1), (37, 1001, 3)],
+    [(37, 1000, 3), (3, paths._BLOCK_ELEMENTS + 5, 3), (1, 64, 1), (40, 7, 1), (37, 1001, 3),
+     (300, 1000, 19)],
     ids=["partial-last-block", "one-row-blocks", "single-row", "one-block-odd-steps",
-         "shared-blocks-odd-steps"],
+         "shared-blocks-odd-steps", "several-hand-offs"],
 )
 def test_draw_blocks_equal_the_per_path_streams(monkeypatch, n_rows, n_steps, n_blocks):
     # rows that share a block share one re-keyed generator; at n_steps not
@@ -295,10 +298,97 @@ def test_draw_blocks_equal_the_per_path_streams(monkeypatch, n_rows, n_steps, n_
     for p in range(n_rows):
         assert dw[p].tobytes() == sample_wiener(grid, make_rng(SeedSpec(9, p))).dw.tobytes()
     # 37 rows of 1000 or 1001 steps: blocks of 16, 16 and 5 rows; above the
-    # block budget every block is one row
+    # block budget every block is one row; 300 rows of 1000 steps are handed
+    # to the helper thread as 128, 128 and 44 rows
     blocks = [rows for rows, _ in paths.draw_blocks(grid, n_rows, 9)]
     assert blocks == list(paths.row_blocks(*dw.shape))
     assert len(blocks) == n_blocks
+
+
+class _Failed(Exception):
+    pass
+
+
+def _bounded(fn, seconds=120):
+    """fn()'s exception, or None, from a thread given seconds to finish: a
+    draw whose helper thread dies must not leave its reader blocked."""
+    raised = []
+
+    def target():
+        try:
+            fn()
+        except BaseException as exc:
+            raised.append(exc)
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), "the draw is still blocked"
+    return raised[0] if raised else None
+
+
+@pytest.mark.parametrize("build", [
+    lambda grid: wiener_ensemble(grid, 300, 5),
+    lambda grid: integrate_sqrt(grid, 300, SqrtParams(), 5),
+], ids=["wiener_ensemble", "integrate_sqrt"])
+def test_an_error_on_the_helper_thread_reaches_the_reader(monkeypatch, build):
+    handed = []
+    to_normal = paths._to_normal
+
+    def failing_second(u, dt):
+        handed.append(len(u))
+        if len(handed) == 2:
+            raise _Failed("second hand-off")
+        return to_normal(u, dt)
+
+    monkeypatch.setattr(paths, "_to_normal", failing_second)
+    before = threading.active_count()
+    assert isinstance(_bounded(lambda: build(TimeGrid(DT, 1000))), _Failed)
+    # the helper stopped at the failed hand-off, and was joined
+    assert handed == [128, 128]
+    assert threading.active_count() == before
+
+
+def test_an_error_on_the_calling_thread_ends_the_helper(monkeypatch):
+    def failing_row_200(seed, rng=None):
+        if seed.path_index == 200:
+            raise _Failed("row 200")
+        return make_rng(seed, rng)
+
+    monkeypatch.setattr(paths, "make_rng", failing_row_200)
+    before = threading.active_count()
+    assert isinstance(_bounded(lambda: wiener_ensemble(TimeGrid(DT, 1000), 300, 5)), _Failed)
+    assert threading.active_count() == before
+
+
+def test_the_helper_thread_starts_on_the_first_read_and_ends_on_close():
+    grid = TimeGrid(DT, 1000)
+    before = threading.active_count()
+    blocks = paths.draw_blocks(grid, 300, 5)
+    assert threading.active_count() == before  # not iterated: no thread
+    rows, dw = next(blocks)
+    assert threading.active_count() == before + 1
+    blocks.close()
+    assert threading.active_count() == before
+    # a block read stays valid after its draw ends
+    for p in range(rows.start, rows.stop):
+        expected = sample_wiener(grid, make_rng(SeedSpec(5, p))).dw
+        assert dw[p - rows.start].tobytes() == expected.tobytes()
+
+
+def test_the_helper_thread_runs_under_the_callers_errstate(monkeypatch):
+    def overflowing(u, dt):
+        u[:] = 1e308
+        u *= 10.0
+        return u
+
+    monkeypatch.setattr(paths, "_to_normal", overflowing)
+    grid = TimeGrid(DT, 16)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        wiener_ensemble(grid, 5, 1)
+    with np.errstate(over="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning on the helper would raise
+        assert np.isinf(wiener_ensemble(grid, 5, 1).dw).all()
 
 
 @pytest.mark.parametrize("n_rows, seed", [(0, 1), (-2, 1), (5, -1), (5, 2**64)])

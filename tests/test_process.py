@@ -26,6 +26,7 @@ from sqrtwiener import (
     sqrt_step_drifted,
     sqrt_step_scalar,
 )
+from sqrtwiener import paths
 from sqrtwiener.paths import cumulative_paths, row_blocks, wiener_ensemble
 from sqrtwiener.process import array_digest
 
@@ -340,7 +341,9 @@ def test_integrate_sqrt_last_block_partial(case):
 
 def _traced_peak(fn, *args):
     """fn(*args) and the peak of the memory it allocated (numpy reports its
-    buffers to tracemalloc)."""
+    buffers to tracemalloc).  The first draw of a process imports
+    scipy.special, which would otherwise count, so it is imported first."""
+    paths._ndtri()
     tracemalloc.start()
     try:
         return fn(*args), tracemalloc.get_traced_memory()[1]
