@@ -65,6 +65,7 @@ from .process import (
     SqrtParams,
     array_digest,
     column_blocks,
+    digest_alongside,
     ensemble_digest,
     ensemble_to_csv,
     integrate_sqrt,
@@ -396,13 +397,17 @@ def cmd_table1(config: RunConfig, args: argparse.Namespace) -> int:
             "table1 needs at least 2 increments, got "
             f"n_paths = {config.n_paths} x n_steps = {config.n_steps}"
         )
-    # each ensemble is reduced, digested and dropped before the next is drawn
+    # each ensemble is reduced while it is hashed, and dropped before the
+    # next is drawn
     ens = wiener_ensemble(config.grid, config.n_paths, config.seed)
-    brownian, wiener_digest = st.table1_statistics(ens, config.params), ensemble_digest(ens)
+    with digest_alongside(ens) as hashed:
+        brownian = st.table1_statistics(ens, config.params)
+        wiener_digest = ensemble_digest(ens, hashed)
     del ens
     ens = integrate_sqrt(config.grid, config.n_paths, config.params, config.seed)
-    table = st.Table1Stats(brownian, st.table1_statistics(ens, config.params))
-    digest = ensemble_digest(ens)
+    with digest_alongside(ens) as hashed:
+        table = st.Table1Stats(brownian, st.table1_statistics(ens, config.params))
+        digest = ensemble_digest(ens, hashed)
     del ens
     reported = [z for s in table.brownian + table.square_root
                 for c in (s.mean, s.pseudo_variance, s.diffusion) for z in (c.value, c.stderr)]
@@ -492,24 +497,26 @@ def cmd_kernels(config: RunConfig, args: argparse.Namespace) -> int:
 
     # empirical side: Wiener terminal values, and Wick-rotated squared
     # square-root terminal values (interpretation recorded in the manifest);
-    # the Wiener ensemble is dropped before the square-root one is drawn
+    # the Wiener ensemble is dropped before the square-root one is drawn,
+    # which is reduced while it is hashed
     w_term = cumulative_terminal(wiener_ensemble(config.grid, config.n_paths, config.seed).dw)
     sqrt_ens = integrate_sqrt(config.grid, config.n_paths, config.params, config.seed)
-    wick_emp = kn.wick_rotate_samples(kn.square_samples(sqrt_ens.terminal_values))
-    _require_finite("Wiener terminal values", w_term)
-    _require_finite("Wick-rotated squared terminal values", wick_emp)
+    with digest_alongside(sqrt_ens) as hashed:
+        wick_emp = kn.wick_rotate_samples(kn.square_samples(sqrt_ens.terminal_values))
+        _require_finite("Wiener terminal values", w_term)
+        _require_finite("Wick-rotated squared terminal values", wick_emp)
 
-    with _memory_for(f"bins = {bins}"):
-        hist_w = st.build_histogram(w_term, bins, normalization="density")
-        hist_s = st.build_histogram(wick_emp, bins, normalization="density")
-    fits = {}
-    for label, hist in (("wiener_terminal", hist_w), ("sqrt_wick_rotated", hist_s)):
-        try:
-            fits[label] = dataclasses.asdict(st.gaussian_fit(hist))
-        except st.FitError as exc:
-            fits[label] = {"error": str(exc)}
+        with _memory_for(f"bins = {bins}"):
+            hist_w = st.build_histogram(w_term, bins, normalization="density")
+            hist_s = st.build_histogram(wick_emp, bins, normalization="density")
+        fits = {}
+        for label, hist in (("wiener_terminal", hist_w), ("sqrt_wick_rotated", hist_s)):
+            try:
+                fits[label] = dataclasses.asdict(st.gaussian_fit(hist))
+            except st.FitError as exc:
+                fits[label] = {"error": str(exc)}
 
-    digest = ensemble_digest(sqrt_ens)
+        digest = ensemble_digest(sqrt_ens, hashed)
     manifest = make_manifest(
         "kernels", config, digest,
         draw_threads=DRAW_THREADS,

@@ -34,6 +34,7 @@ import contextvars
 import queue
 import threading
 from collections import deque
+from contextlib import closing
 from dataclasses import dataclass
 from functools import cache
 from itertools import islice
@@ -258,9 +259,12 @@ def phi_half(w: WienerIncrements | WienerEnsemble, out: np.ndarray | None = None
     receives the phase when given."""
     if out is None:
         out = np.empty(w.dw.shape, np.complex128)
-    # 1+0j or 0+1j, without a branch per element
-    np.greater_equal(w.dw, 0, out=out.real)
-    np.subtract(1.0, out.real, out=out.imag)
+    # 1+0j or 0+1j, without a branch per element; the comparison goes to a
+    # contiguous buffer, since casting it straight into the strided out.real
+    # takes about three times as long
+    up = np.greater_equal(w.dw, 0, out=np.empty(w.dw.shape))
+    out.real = up
+    np.subtract(1.0, up, out=out.imag)
     return out
 
 
@@ -306,6 +310,7 @@ def _normals(todo: queue.Queue, done: queue.Queue, dt: float) -> None:
         except BaseException as exc:  # raised again by the calling thread
             done.put(exc)
             return
+        del u  # the reader may be done with it before the next one comes
 
 
 def _handed_back(done: queue.Queue, group: list[slice]) -> Iterator[tuple[slice, np.ndarray]]:
@@ -357,7 +362,8 @@ def draw_blocks(
     is joined when the blocks end, the iterator is closed or either thread
     raises; an exception raised on the helper is raised to the reader.
     Each yielded dw is a view of its own hand-off's array, valid after the
-    reader moves on.
+    reader moves on; a reader that drops it before reading the next holds
+    no hand-off beyond the two in flight.
     """
     if n_rows < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_rows}")
@@ -379,6 +385,8 @@ def wiener_ensemble(
     serial_only(workers)
     blocks = draw_blocks(grid, n_paths, master_seed)
     dw = np.empty((n_paths, grid.n_steps))
-    for rows, block in blocks:
-        dw[rows] = block
+    with closing(blocks):
+        for rows, block in blocks:
+            dw[rows] = block
+            del block  # holds its hand-off while the next one is filled
     return WienerEnsemble(grid, dw)

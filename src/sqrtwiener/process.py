@@ -29,8 +29,8 @@ _CSV_BLOCK_ROWS whole rows: column_blocks formats a table's rows with one
 repeated row template, and ensemble_to_csv builds its step indices into a
 template once per call, so only re and im are formatted per row (the bytes
 are those of '%d,%d,%.17g,%.17g' row by row).  Every digest goes through
-array_digest, and every output file is written as .NAME.PID.tmp (spelled
-here only) and renamed into place.
+array_digest, on a helper thread under digest_alongside, and every output
+file is written as .NAME.PID.tmp (spelled here only) and renamed into place.
 """
 
 from __future__ import annotations
@@ -40,7 +40,8 @@ import hashlib
 import io
 import os
 import re
-from contextlib import contextmanager
+import threading
+from contextlib import closing, contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -64,6 +65,7 @@ __all__ = [
     "sqrt_step_drifted",
     "integrate_sqrt",
     "array_digest",
+    "digest_alongside",
     "ensemble_digest",
     "replaced_atomically",
     "temporary_target",
@@ -224,9 +226,11 @@ def integrate_sqrt(
     blocks = draw_blocks(grid, n_paths, master_seed)
     inc = np.empty((n_paths, grid.n_steps), dtype=np.complex128)
     phase = block_scratch(n_paths, grid.n_steps, np.complex128)
-    for rows, dw in blocks:
-        phi = phi_half(WienerEnsemble(grid, dw), out=phase[: len(dw)])
-        step(dw, grid.dt, params, phi, out=inc[rows])
+    with closing(blocks):
+        for rows, dw in blocks:
+            phi = phi_half(WienerEnsemble(grid, dw), out=phase[: len(dw)])
+            step(dw, grid.dt, params, phi, out=inc[rows])
+            del dw  # holds its hand-off while the next one is filled
     return ComplexPathEnsemble(grid, inc)
 
 
@@ -235,14 +239,67 @@ def array_digest(arr: np.ndarray) -> str:
     return "sha256:" + hashlib.sha256(np.ascontiguousarray(arr)).hexdigest()
 
 
-def ensemble_digest(ensemble) -> str:
+def _stored(ensemble) -> np.ndarray:
+    """The increments of a ComplexPathEnsemble or a WienerEnsemble."""
+    arr = getattr(ensemble, "increments", None)
+    return ensemble.dw if arr is None else arr
+
+
+class _Hashing(threading.Thread):
+    """array_digest(array) on a helper thread, started here."""
+
+    def __init__(self, array: np.ndarray) -> None:
+        super().__init__(daemon=True)
+        self.array, self.digest, self.error = array, None, None
+        self.start()
+
+    def run(self) -> None:
+        try:
+            self.digest = array_digest(self.array)
+        except BaseException as exc:  # raised again by ensemble_digest
+            self.error = exc
+
+
+@contextmanager
+def digest_alongside(ensemble) -> Iterator[_Hashing]:
+    """Hash the ensemble's increments on one helper thread while the body
+    runs; ensemble_digest(ensemble, hashed) in the body joins it and returns
+    the digest.  hashlib releases the GIL while it hashes, so the calling
+    thread can reduce the same array meanwhile.
+
+    The array is read-only until the block ends, so a write raises
+    ValueError instead of changing the bytes under the hash.  The helper
+    calls nothing but array_digest, and is joined however the block ends.
+    """
+    array = _stored(ensemble)
+    writeable = array.flags.writeable
+    array.flags.writeable = False
+    hashed = _Hashing(array)
+    try:
+        yield hashed
+    finally:
+        hashed.join()
+        hashed.array = None  # the handle may outlive the block; the array need not
+        array.flags.writeable = writeable
+
+
+def ensemble_digest(ensemble, hashed: _Hashing | None = None) -> str:
     """SHA-256 digest of the raw increment stream (C-order bytes).
 
     Accepts a ComplexPathEnsemble or a WienerEnsemble; equal configurations
-    give equal digests, which is the regression-pinning contract.
+    give equal digests, which is the regression-pinning contract.  hashed,
+    from digest_alongside(ensemble), is that digest being taken on a helper
+    thread: it is joined, and its digest returned or its exception raised.
     """
-    arr = getattr(ensemble, "increments", None)
-    return array_digest(ensemble.dw if arr is None else arr)
+    arr = _stored(ensemble)
+    if hashed is None:
+        return array_digest(arr)
+    if hashed.array is not arr:
+        raise ValueError("hashed is not a digest of this ensemble being taken")
+    hashed.join()
+    if hashed.error is not None:
+        raise hashed.error
+    return hashed.digest
 
 
 # the temporary name .NAME.PID.tmp replaced_atomically gives NAME

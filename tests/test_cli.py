@@ -384,6 +384,28 @@ def test_runs_that_draw_leave_no_thread(tmp_path, command):
     assert threading.active_count() == before
 
 
+@pytest.mark.parametrize("command, module, name, exc, code", [
+    ("table1", "stats", "table1_statistics", MemoryError, 1),
+    ("table1", "process", "array_digest", OSError, 2),
+    ("kernels", "stats", "build_histogram", MemoryError, 1),
+    ("kernels", "kernels", "square_samples", ValueError, 1),
+], ids=["table1-reduction", "table1-hash", "kernels-histogram", "kernels-reduction"])
+def test_a_run_that_fails_while_hashing_leaves_no_thread(tmp_path, monkeypatch, capsys,
+                                                        command, module, name, exc, code):
+    # the ensemble is hashed on a helper thread while it is reduced; a
+    # reduction or a hash that raises still ends in a refusal with the
+    # helper joined
+    def failing(*args, **kwargs):
+        raise exc("refused")
+
+    monkeypatch.setattr(getattr(sqrtwiener, module), name, failing)
+    before = threading.active_count()
+    assert run(command, "--paths", "40", "--steps", "16", "--output", str(tmp_path / "o")) == code
+    assert "refused" in capsys.readouterr().err
+    assert threading.active_count() == before
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "table1", "kernels", "fpsolve"])
 def test_manifest_records_draw_threads_for_runs_that_draw(tmp_path, command):
     sizes = ("--grid-points", "256") if command == "fpsolve" else ("--paths", "40", "--steps", "16")

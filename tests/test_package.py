@@ -8,12 +8,14 @@ import os
 import pkgutil
 import subprocess
 import sys
+import threading
 import types
 from pathlib import Path
 
 import pytest
 
 import sqrtwiener
+import sqrtwiener.cli
 
 MODULES = ["sqrtwiener"] + [
     f"sqrtwiener.{m.name}" for m in pkgutil.iter_modules(sqrtwiener.__path__)
@@ -144,6 +146,34 @@ def test_benchmark_replay_names_resolve():
     assert list(bound.arguments) == ["ensemble", "path", "max_paths", "header_lines"], (
         ast.unparse(call)
     )
+
+
+@pytest.mark.parametrize("command", ["table1", "kernels", "simulate"])
+def test_the_replay_layers_run_on_the_thread_that_calls_main(tmp_path, monkeypatch, command):
+    # the replay's tracer keeps one stack of open spans: every function it
+    # spans must run on the thread that called main, whatever helper threads
+    # the subcommand starts
+    calls = []
+
+    def recording(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append((name, threading.get_ident()))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for entry in _assigned(ast.parse(REPLAY.read_text()), "CLI_LAYERS").elts:
+        module = importlib.import_module(f"sqrtwiener.{entry.elts[0].id}")
+        name = entry.elts[1].value
+        original = getattr(module, name)
+        for mod in list(sys.modules.values()):
+            if mod.__name__.startswith("sqrtwiener") and getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, recording(name, original))
+
+    out = tmp_path / "out"
+    assert sqrtwiener.cli.main([command, "--paths", "40", "--steps", "16", "--output", str(out)]) == 0
+    names = [name for name, _ in calls]
+    assert names.count("ensemble_digest") == (2 if command == "table1" else 1)
+    assert {ident for _, ident in calls} == {threading.get_ident()}, calls
 
 
 def test_fp_evolve_keeps_the_parameters_the_replay_reads():

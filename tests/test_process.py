@@ -3,6 +3,8 @@
 import dataclasses
 import gzip
 import hashlib
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -26,9 +28,9 @@ from sqrtwiener import (
     sqrt_step_drifted,
     sqrt_step_scalar,
 )
-from sqrtwiener import paths
+from sqrtwiener import paths, process
 from sqrtwiener.paths import cumulative_paths, row_blocks, wiener_ensemble
-from sqrtwiener.process import array_digest
+from sqrtwiener.process import array_digest, digest_alongside
 
 DT = 0.001
 GRID = TimeGrid(DT, 1000)
@@ -362,3 +364,117 @@ def test_integrate_sqrt_holds_no_whole_drawn_dw():
 def test_wiener_ensemble_transforms_in_place():
     ens, peak = _traced_peak(wiener_ensemble, TimeGrid(DT, 500), 4000, 3)
     assert peak < ens.dw.nbytes + ens.dw.nbytes / 4
+
+
+def test_a_draw_holds_at_most_the_two_hand_offs_in_flight():
+    # the hand-offs are 1 MiB each: a reader that kept its last block alive
+    # while the next hand-off is filled would hold a third
+    grid = TimeGrid(DT, 500)
+    ens, peak = _traced_peak(integrate_sqrt, grid, 4000, SqrtParams(), 3)
+    assert peak < ens.increments.nbytes + 2.5 * 2**20
+    ens, peak = _traced_peak(wiener_ensemble, grid, 4000, 3)
+    assert peak < ens.dw.nbytes + 2.5 * 2**20
+
+
+class _Failed(Exception):
+    pass
+
+
+def test_a_reader_that_raises_ends_the_draw_at_once(monkeypatch):
+    # the exception is kept, and its traceback keeps the reader's frame:
+    # the draw must still be closed, not left to the garbage collector
+    calls = []
+    step = process.sqrt_step_drifted
+
+    def failing_third(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise _Failed("third block")
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(process, "sqrt_step_drifted", failing_third)
+    before = threading.active_count()
+    with pytest.raises(_Failed) as raised:
+        integrate_sqrt(GRID, 300, SqrtParams(), 5)
+    assert raised.value.__traceback__ is not None
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("n_paths, n_steps", [(1, 1), (17, 1000), (300, 1000)])
+@pytest.mark.parametrize("build", [
+    lambda grid, n: wiener_ensemble(grid, n, 8),
+    lambda grid, n: integrate_sqrt(grid, n, SqrtParams(), 8),
+], ids=["wiener", "sqrt"])
+def test_a_digest_taken_alongside_is_the_array_digest(build, n_paths, n_steps):
+    ens = build(TimeGrid(DT, n_steps), n_paths)
+    arr = process._stored(ens)
+    before = threading.active_count()
+    with digest_alongside(ens) as hashed:
+        assert not arr.flags.writeable
+        digest = ensemble_digest(ens, hashed)
+    assert digest == array_digest(arr) == ensemble_digest(ens)
+    assert arr.flags.writeable
+    assert threading.active_count() == before
+
+
+def test_a_hash_that_raises_reaches_the_caller_with_its_type(monkeypatch):
+    threads = []
+
+    def failing(arr):
+        threads.append(threading.get_ident())
+        raise _Failed("hash")
+
+    monkeypatch.setattr(process, "array_digest", failing)
+    ens = wiener_ensemble(TimeGrid(DT, 16), 5, 1)
+    before = threading.active_count()
+    with pytest.raises(_Failed), digest_alongside(ens) as hashed:
+        ensemble_digest(ens, hashed)
+    assert threads and threads[0] != threading.get_ident()  # raised on the helper
+    assert threading.active_count() == before
+    assert ens.dw.flags.writeable
+
+
+def test_a_block_that_raises_joins_the_hash(monkeypatch):
+    started, release, finished = threading.Event(), threading.Event(), []
+    digest = process.array_digest
+
+    def held(arr):
+        started.set()
+        release.wait(60)
+        time.sleep(0.2)  # still hashing when the block has raised
+        finished.append(digest(arr))
+        return finished[-1]
+
+    monkeypatch.setattr(process, "array_digest", held)
+    ens = integrate_sqrt(TimeGrid(DT, 16), 5, SqrtParams(), 1)
+    before = threading.active_count()
+    with pytest.raises(_Failed), digest_alongside(ens):
+        assert started.wait(60)
+        assert threading.active_count() == before + 1
+        release.set()
+        raise _Failed("reduction")
+    assert finished == [array_digest(ens.increments)]
+    assert threading.active_count() == before
+    assert ens.increments.flags.writeable
+
+
+def test_nothing_writes_an_array_while_it_is_hashed():
+    ens = integrate_sqrt(TimeGrid(DT, 16), 5, SqrtParams(), 1)
+    expected = ensemble_digest(ens)
+    with digest_alongside(ens) as hashed:
+        with pytest.raises(ValueError, match="read-only"):
+            ens.increments[0, 0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            ens.increments[:2] *= 2
+        assert ensemble_digest(ens, hashed) == expected
+    ens.increments[0, 0] = 0  # writeable again once the block ends
+
+
+def test_a_digest_handle_belongs_to_its_ensemble_and_block():
+    grid = TimeGrid(DT, 16)
+    ens, other = wiener_ensemble(grid, 5, 1), wiener_ensemble(grid, 5, 1)
+    with digest_alongside(ens) as hashed:
+        with pytest.raises(ValueError, match="not a digest of this ensemble"):
+            ensemble_digest(other, hashed)
+    with pytest.raises(ValueError, match="not a digest of this ensemble"):
+        ensemble_digest(ens, hashed)  # the block has ended
