@@ -259,12 +259,9 @@ def phi_half(w: WienerIncrements | WienerEnsemble, out: np.ndarray | None = None
     receives the phase when given."""
     if out is None:
         out = np.empty(w.dw.shape, np.complex128)
-    # 1+0j or 0+1j, without a branch per element; the comparison goes to a
-    # contiguous buffer, since casting it straight into the strided out.real
-    # takes about three times as long
-    up = np.greater_equal(w.dw, 0, out=np.empty(w.dw.shape))
-    out.real = up
-    np.subtract(1.0, up, out=out.imag)
+    # 1+0j or 0+1j, without a branch per element
+    np.greater_equal(w.dw, 0, out=out.real)
+    np.subtract(1.0, out.real, out=out.imag)
     return out
 
 

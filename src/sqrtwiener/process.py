@@ -274,12 +274,14 @@ def digest_alongside(ensemble) -> Iterator[_Hashing]:
     array = _stored(ensemble)
     writeable = array.flags.writeable
     array.flags.writeable = False
-    hashed = _Hashing(array)
     try:
-        yield hashed
+        hashed = _Hashing(array)  # a thread that cannot start leaves none to join
+        try:
+            yield hashed
+        finally:
+            hashed.join()
+            hashed.array = None  # the handle may outlive the block; the array need not
     finally:
-        hashed.join()
-        hashed.array = None  # the handle may outlive the block; the array need not
         array.flags.writeable = writeable
 
 

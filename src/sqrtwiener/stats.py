@@ -34,11 +34,10 @@ order, so all reported numbers are bit-identical under any permutation of
 the ensemble's path order.
 
 Every reduction over a whole ensemble walks it in the row blocks of
-paths.row_blocks, converting one block at a time to complex128 (real rows
-stay float64, and their imaginary totals are the +0 the complex path would
-sum), so its temporaries are set by one block, not by the ensemble; the
-batch-means stderr gathers each batch into one reused complex128 buffer and
-reduces it there in place.  The results are bit-identical to whole-array reductions:
+paths.row_blocks, converting one block at a time to complex128, so its
+temporaries are set by one block, not by the ensemble; the batch-means
+stderr gathers each batch into one reused complex128 buffer and reduces it
+there in place.  The results are bit-identical to whole-array reductions:
 each element gets the same arithmetic, each row's numpy sum and cumsum do
 not depend on how many rows the array holds, and the fsum across rows is
 exact.
@@ -144,12 +143,12 @@ class FitError(RuntimeError):
 # does not depend on row order
 # ---------------------------------------------------------------------------
 
-def _exact_totals(rows: np.ndarray, parts, dtype=np.complex128) -> list[float]:
+def _exact_totals(rows: np.ndarray, parts) -> list[float]:
     """Exact total over all rows of each array parts(z) returns, where z
-    runs over the row blocks of rows converted to dtype."""
+    runs over the row blocks of rows converted to complex128."""
     per_row = []
     for block in row_blocks(*rows.shape):
-        z = np.asarray(rows[block], dtype=dtype)
+        z = np.asarray(rows[block], dtype=np.complex128)
         per_row.append([np.sum(p, axis=1) for p in parts(z)])
     return [math.fsum(np.concatenate(sums)) for sums in zip(*per_row)]
 
@@ -178,13 +177,9 @@ def pooled_complex_mean(rows: np.ndarray) -> ComplexStat:
     n = rows.size
     if n == 0:
         raise ValueError("mean of an empty array is undefined")
-    if np.iscomplexobj(rows):
-        re_sum, im_sum, re_sq, im_sq = _exact_totals(
-            rows, lambda z: (z.real, z.imag, z.real**2, z.imag**2)
-        )
-    else:  # as complex128, real rows would have imaginary parts +0, totalling +0
-        re_sum, re_sq = _exact_totals(rows, lambda x: (x, x * x), float)
-        im_sum = im_sq = 0.0
+    re_sum, im_sum, re_sq, im_sq = _exact_totals(
+        rows, lambda z: (z.real, z.imag, z.real**2, z.imag**2)
+    )
     mean = complex(re_sum / n, im_sum / n)
     if n < 2:
         return ComplexStat(mean, 0j, n)
@@ -245,30 +240,16 @@ def pooled_pseudo_variance(rows: np.ndarray, mean: complex | None = None) -> Com
     n = rows.size
     if n < 2:
         raise ValueError("pseudo-variance requires at least 2 samples")
-    real = not np.iscomplexobj(rows)
-    if mean is None:  # the imaginary parts of real rows read as +0
-        re_sum, im_sum = _exact_totals(rows, lambda z: (z.real, z.imag), float if real else complex)
+    if mean is None:
+        re_sum, im_sum = _exact_totals(rows, lambda z: (z.real, z.imag))
         mean = complex(re_sum / n, im_sum / n)
-    totals = None
-    if real and mean.imag == 0:
-        # as complex128, each d = x - mean would have imaginary part +0, and
-        # (d*d).imag would be +-0 where d is finite, totalling +0; where d is
-        # not, it would be NaN, so a non-finite total takes the complex path
-        def real_squares(x):
-            d = x - mean.real
-            return (np.multiply(d, d, out=d),)
 
-        (re_sq,) = _exact_totals(rows, real_squares, float)
-        if math.isfinite(re_sq):
-            totals = re_sq, 0.0
-    if totals is None:
-        def squares(z):
-            d = z - mean
-            sq = d * d
-            return sq.real, sq.imag
+    def squares(z):
+        d = z - mean
+        sq = d * d
+        return sq.real, sq.imag
 
-        totals = _exact_totals(rows, squares)
-    pv = complex(*totals) / (n - 1)
+    pv = complex(*_exact_totals(rows, squares)) / (n - 1)
     return ComplexStat(pv, _batch_pv_stderr(rows), n)
 
 

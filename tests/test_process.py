@@ -478,3 +478,14 @@ def test_a_digest_handle_belongs_to_its_ensemble_and_block():
             ensemble_digest(other, hashed)
     with pytest.raises(ValueError, match="not a digest of this ensemble"):
         ensemble_digest(ens, hashed)  # the block has ended
+
+
+def test_a_hash_that_cannot_start_leaves_the_array_writeable(monkeypatch):
+    def refused(self):
+        raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(process._Hashing, "start", refused)
+    ens = wiener_ensemble(TimeGrid(DT, 16), 5, 1)
+    with pytest.raises(RuntimeError, match="can't start"), digest_alongside(ens):
+        pass
+    assert ens.dw.flags.writeable

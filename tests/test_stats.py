@@ -22,8 +22,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis.extra import numpy as hnp
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqrtwiener import (
@@ -189,48 +188,6 @@ def test_pseudo_variance_given_the_pooled_mean_has_the_bits_of_its_own(
         # the mean is not taken again: one pass, the squared deviations
         assert totals.call_count == passes + 1
     assert _bits(given_mean) == _bits(pooled_pseudo_variance(rows))
-
-
-def _outcome(fn, *args):
-    try:
-        return _bits(fn(*args))
-    except (ValueError, OverflowError) as exc:  # fsum's inf - inf, or its overflow
-        return type(exc), str(exc)
-
-
-_REAL_ROWS = hnp.arrays(
-    np.float64,
-    hnp.array_shapes(min_dims=2, max_dims=2, max_side=7),
-    elements=st.floats(width=64) | st.sampled_from([0.0, -0.0, 1.5, -1.5]),
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(rows=_REAL_ROWS)
-@example(rows=np.full((3, 4), 0.1))  # all equal: every deviation from the mean < 0
-@example(rows=np.full((2, 3), -0.0))
-@example(rows=np.array([[-0.0, 0.0], [-0.0, -0.0]]))
-@example(rows=np.array([[1e308, 1e308], [-1e308, 5.0]]))
-@example(rows=np.array([[np.inf, 1.0], [2.0, 3.0]]))
-def test_real_rows_give_the_bits_of_their_complex128_form(rows):
-    # real rows are summed as float64, with imaginary totals of +0, and must
-    # give the bits the same rows give converted to complex128, non-finite
-    # ones included (their warnings are not under test)
-    z = rows.astype(np.complex128)
-    with np.errstate(all="ignore"):
-        _check_real_rows(rows, z)
-
-
-def _check_real_rows(rows, z):
-    assert _outcome(pooled_complex_mean, rows) == _outcome(pooled_complex_mean, z)
-    if rows.size < 2:
-        return
-    assert _outcome(pooled_pseudo_variance, rows) == _outcome(pooled_pseudo_variance, z)
-    try:
-        mean = pooled_complex_mean(z).value
-    except (ValueError, OverflowError):
-        return
-    assert _outcome(pooled_pseudo_variance, rows, mean) == _outcome(pooled_pseudo_variance, z, mean)
 
 
 def test_summary_tag_policy():
