@@ -17,12 +17,13 @@ exactly one uniform draw mapped through the inverse normal CDF
 therefore independent across paths and bit-stable across platforms, path
 order and the thread that maps them.  draw_blocks is the one loop that keys
 and draws these streams.  The calling thread keys each row with one make_rng
-call, re-keying one generator, and fills 1 MiB of uniforms at a time; one
-helper thread maps each such hand-off to normals in place (_to_normal, which
+call, re-keying one generator, and fills 1 MiB of uniforms at a time; a
+Helper thread maps each such hand-off to normals in place (_to_normal, which
 sample_wiener shares) while the caller fills the next, with at most two
 hand-offs in flight.  wiener_ensemble copies the blocks into its
 increments, and integrate_sqrt in process brackets them into its own, so no
-whole drawn dw is held beside an output.
+whole drawn dw is held beside an output.  Helper is the one way the package
+runs work on another thread: the draw's maps, and process's digests.
 
 Every pass over a whole ensemble walks it in the row blocks of row_blocks,
 so its temporaries are set by one block, not by n_paths x n_steps.
@@ -33,11 +34,9 @@ from __future__ import annotations
 import contextvars
 import queue
 import threading
-from collections import deque
 from contextlib import closing
 from dataclasses import dataclass
 from functools import cache
-from itertools import islice
 from typing import Iterator
 
 import numpy as np
@@ -46,6 +45,7 @@ from numpy.random import Generator, Philox
 __all__ = [
     "RNG_NAME",
     "DRAW_THREADS",
+    "Helper",
     "TimeGrid",
     "SeedSpec",
     "WienerIncrements",
@@ -122,6 +122,53 @@ _IN_FLIGHT = 2
 
 # Threads a draw runs on: the calling thread and one helper.
 DRAW_THREADS = 2
+
+
+class Helper:
+    """One daemon thread, started under the caller's context (so under its
+    np.errstate), that runs the calls put(fn, *args) in order.
+
+    get() returns the oldest pending call's result or raises its exception,
+    which also ends the thread.  get() with no call pending, and put() once
+    the thread has ended, raise ValueError rather than wait.  close() ends
+    the thread and joins it.  Only the thread that made it calls these.
+    """
+
+    def __init__(self) -> None:
+        self._todo, self._done = queue.SimpleQueue(), queue.SimpleQueue()
+        self._pending, self._ended = 0, False
+        self._thread = threading.Thread(target=contextvars.copy_context().run,
+                                        args=(self._serve,), daemon=True)
+        self._thread.start()
+
+    def _serve(self) -> None:
+        for fn, args in iter(self._todo.get, None):
+            try:
+                self._done.put((True, fn(*args)))
+            except BaseException as exc:  # raised again by get
+                return self._done.put((False, exc))
+            del fn, args  # the reader may drop the result before the next call comes
+
+    def put(self, fn, *args) -> None:
+        if self._ended:
+            raise ValueError("the helper thread has ended")
+        self._todo.put((fn, args))
+        self._pending += 1
+
+    def get(self):
+        if not self._pending:
+            raise ValueError("no call is pending")
+        self._pending -= 1
+        ok, value = self._done.get()
+        if not ok:
+            self._pending, self._ended = 0, True
+            raise value
+        return value
+
+    def close(self) -> None:
+        self._todo.put(None)
+        self._thread.join()
+        self._pending, self._ended = 0, True
 
 
 def _rows_per_block(n_cols: int) -> int:
@@ -297,53 +344,21 @@ def _uniforms(rng: Generator, n_steps: int, master_seed: int, rows: slice) -> np
     return u
 
 
-def _normals(todo: queue.Queue, done: queue.Queue, dt: float) -> None:
-    """The helper thread's loop: map each array from todo to normals in
-    place and put it on done, in order, until todo yields None.  An
-    exception is put on done in place of the array, and ends the loop."""
-    while (u := todo.get()) is not None:
-        try:
-            done.put(_to_normal(u, dt))
-        except BaseException as exc:  # raised again by the calling thread
-            done.put(exc)
-            return
-        del u  # the reader may be done with it before the next one comes
-
-
-def _handed_back(done: queue.Queue, group: list[slice]) -> Iterator[tuple[slice, np.ndarray]]:
-    """(rows, dw) for each row block of group, as views of the next array
-    on done."""
-    dw = done.get()
-    if isinstance(dw, BaseException):
-        raise dw
-    lo = group[0].start
-    for rows in group:
-        yield rows, dw[rows.start - lo : rows.stop - lo]
-
-
 def _pipelined(grid: TimeGrid, n_rows: int, master_seed: int) -> Iterator[tuple[slice, np.ndarray]]:
-    blocks = row_blocks(n_rows, grid.n_steps)
-    per_handoff = max(1, _HANDOFF_ELEMENTS // (_rows_per_block(grid.n_steps) * grid.n_steps))
+    step = _rows_per_block(grid.n_steps)
+    per_handoff = step * max(1, _HANDOFF_ELEMENTS // (step * grid.n_steps))
+    lag = (_IN_FLIGHT - 1) * per_handoff  # rows handed over before the first is read
     rng = Generator(Philox(0))  # its seed is overwritten by every row's key
-    in_flight: deque[list[slice]] = deque()
-    todo: queue.Queue = queue.Queue()
-    done: queue.Queue = queue.Queue()
-    # the helper runs under the caller's context, so under its np.errstate
-    helper = threading.Thread(target=contextvars.copy_context().run,
-                              args=(_normals, todo, done, grid.dt), daemon=True)
-    helper.start()
-    try:
-        while group := list(islice(blocks, per_handoff)):
-            rows = slice(group[0].start, group[-1].stop)
-            todo.put(_uniforms(rng, grid.n_steps, master_seed, rows))
-            in_flight.append(group)
-            if len(in_flight) == _IN_FLIGHT:
-                yield from _handed_back(done, in_flight.popleft())
-        while in_flight:
-            yield from _handed_back(done, in_flight.popleft())
-    finally:
-        todo.put(None)
-        helper.join()
+    with closing(Helper()) as helper:
+        for lo in range(0, n_rows + lag, per_handoff):
+            if lo < n_rows:
+                rows = slice(lo, min(lo + per_handoff, n_rows))
+                helper.put(_to_normal, _uniforms(rng, grid.n_steps, master_seed, rows), grid.dt)
+            if lo >= lag:  # read back the hand-off whose first row is lo - lag
+                dw = helper.get()
+                for block in row_blocks(*dw.shape):
+                    yield slice(lo - lag + block.start, lo - lag + block.stop), dw[block]
+                del dw  # a reader that drops its last block frees it before the next fill
 
 
 def draw_blocks(

@@ -29,7 +29,7 @@ _CSV_BLOCK_ROWS whole rows: column_blocks formats a table's rows with one
 repeated row template, and ensemble_to_csv builds its step indices into a
 template once per call, so only re and im are formatted per row (the bytes
 are those of '%d,%d,%.17g,%.17g' row by row).  Every digest goes through
-array_digest, on a helper thread under digest_alongside, and every output
+array_digest, on a Helper thread under digest_alongside, and every output
 file is written as .NAME.PID.tmp (spelled here only) and renamed into place.
 """
 
@@ -40,7 +40,6 @@ import hashlib
 import io
 import os
 import re
-import threading
 from contextlib import closing, contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -48,6 +47,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .paths import (
+    Helper,
     TimeGrid,
     WienerEnsemble,
     block_scratch,
@@ -245,63 +245,44 @@ def _stored(ensemble) -> np.ndarray:
     return ensemble.dw if arr is None else arr
 
 
-class _Hashing(threading.Thread):
-    """array_digest(array) on a helper thread, started here."""
-
-    def __init__(self, array: np.ndarray) -> None:
-        super().__init__(daemon=True)
-        self.array, self.digest, self.error = array, None, None
-        self.start()
-
-    def run(self) -> None:
-        try:
-            self.digest = array_digest(self.array)
-        except BaseException as exc:  # raised again by ensemble_digest
-            self.error = exc
-
-
 @contextmanager
-def digest_alongside(ensemble) -> Iterator[_Hashing]:
-    """Hash the ensemble's increments on one helper thread while the body
-    runs; ensemble_digest(ensemble, hashed) in the body joins it and returns
-    the digest.  hashlib releases the GIL while it hashes, so the calling
-    thread can reduce the same array meanwhile.
+def digest_alongside(ensemble) -> Iterator[list]:
+    """Hash the ensemble's increments on a paths.Helper thread while the
+    body runs; ensemble_digest(ensemble, hashed) in the body returns the
+    digest.  hashlib releases the GIL while it hashes, so the calling thread
+    can reduce the same array meanwhile.
 
     The array is read-only until the block ends, so a write raises
     ValueError instead of changing the bytes under the hash.  The helper
     calls nothing but array_digest, and is joined however the block ends.
     """
     array = _stored(ensemble)
-    writeable = array.flags.writeable
+    writeable, hashed = array.flags.writeable, []
     array.flags.writeable = False
     try:
-        hashed = _Hashing(array)  # a thread that cannot start leaves none to join
-        try:
+        with closing(Helper()) as helper:  # a thread that cannot start leaves none to join
+            helper.put(array_digest, array)
+            hashed += array, helper
             yield hashed
-        finally:
-            hashed.join()
-            hashed.array = None  # the handle may outlive the block; the array need not
     finally:
+        hashed.clear()  # the handle may outlive the block; the array need not
         array.flags.writeable = writeable
 
 
-def ensemble_digest(ensemble, hashed: _Hashing | None = None) -> str:
+def ensemble_digest(ensemble, hashed: list | None = None) -> str:
     """SHA-256 digest of the raw increment stream (C-order bytes).
 
     Accepts a ComplexPathEnsemble or a WienerEnsemble; equal configurations
     give equal digests, which is the regression-pinning contract.  hashed,
     from digest_alongside(ensemble), is that digest being taken on a helper
-    thread: it is joined, and its digest returned or its exception raised.
+    thread: its digest is returned or its exception raised, once per block.
     """
     arr = _stored(ensemble)
     if hashed is None:
         return array_digest(arr)
-    if hashed.array is not arr:
+    if not hashed or hashed[0] is not arr:
         raise ValueError("hashed is not a digest of this ensemble being taken")
-    hashed.join()
-    if hashed.error is not None:
-        raise hashed.error
-    return hashed.digest
+    return hashed[1].get()
 
 
 # the temporary name .NAME.PID.tmp replaced_atomically gives NAME

@@ -170,6 +170,14 @@ def _exact_mean_std(x: np.ndarray) -> tuple[float, float]:
     return mean, math.sqrt(max(var, 0.0))
 
 
+def _square(x: float) -> float:
+    """x**2, or inf where a Python float raises OverflowError instead."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
+
+
 def pooled_complex_mean(rows: np.ndarray) -> ComplexStat:
     """Mean of all entries of a (paths, steps) real or complex array, with
     componentwise stderr; bit-identical under row permutation."""
@@ -183,8 +191,8 @@ def pooled_complex_mean(rows: np.ndarray) -> ComplexStat:
     mean = complex(re_sum / n, im_sum / n)
     if n < 2:
         return ComplexStat(mean, 0j, n)
-    re_var = (re_sq - n * mean.real**2) / (n - 1)
-    im_var = (im_sq - n * mean.imag**2) / (n - 1)
+    re_var = (re_sq - n * _square(mean.real)) / (n - 1)
+    im_var = (im_sq - n * _square(mean.imag)) / (n - 1)
     stderr = complex(
         math.sqrt(max(re_var, 0.0) / n), math.sqrt(max(im_var, 0.0) / n)
     )

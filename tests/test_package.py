@@ -57,6 +57,24 @@ def test_no_module_starts_worker_processes(name):
     assert not pools, f"{name} imports {sorted(pools)}"
 
 
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "sqrtwiener.paths"])
+def test_only_paths_runs_work_on_threads(name):
+    # paths.Helper is the one way to hand work to another thread: any other
+    # module that wants one uses it
+    tree = ast.parse(Path(importlib.import_module(name).__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert "queue" not in {a.name for a in node.names}, f"{name} imports queue"
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            assert node.module != "queue", f"{name} imports from queue"
+            if node.module == "threading":
+                assert "Thread" not in {a.name for a in node.names}, f"{name} imports Thread"
+        elif isinstance(node, ast.Attribute) and node.attr == "Thread":
+            assert not (isinstance(node.value, ast.Name) and node.value.id == "threading"), (
+                f"{name} uses threading.Thread"
+            )
+
+
 REPLAY = Path(__file__).resolve().parents[1] / "perfbench" / "replay.py"
 
 

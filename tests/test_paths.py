@@ -391,6 +391,73 @@ def test_the_helper_thread_runs_under_the_callers_errstate(monkeypatch):
         assert np.isinf(wiener_ensemble(grid, 5, 1).dw).all()
 
 
+def test_a_helper_returns_its_results_in_order_on_one_other_thread():
+    helper = paths.Helper()
+    try:
+        for k in range(5):
+            helper.put(divmod, 10 * k + 3, 7)
+        helper.put(threading.get_ident)
+        assert [helper.get() for _ in range(5)] == [divmod(10 * k + 3, 7) for k in range(5)]
+        assert helper.get() != threading.get_ident()
+    finally:
+        helper.close()
+
+
+def test_a_helper_runs_under_the_context_it_was_made_in():
+    with np.errstate(over="raise"):
+        helper = paths.Helper()
+    try:
+        helper.put(np.geterr)
+        assert helper.get()["over"] == "raise"
+    finally:
+        helper.close()
+
+
+def test_an_error_on_a_helper_reaches_get_with_its_type_and_ends_the_thread():
+    def failing():
+        raise _Failed("call")
+
+    before = threading.active_count()
+    helper = paths.Helper()
+    helper.put(threading.current_thread)
+    thread = helper.get()
+    helper.put(failing)
+    helper.put(divmod, 1, 1)  # never runs
+    assert isinstance(_bounded(helper.get), _Failed)
+    thread.join(60)
+    assert not thread.is_alive()  # ended without close()
+    # nothing is pending after the error, and nothing more can be put
+    assert isinstance(_bounded(helper.get), ValueError)
+    with pytest.raises(ValueError, match="ended"):
+        helper.put(divmod, 1, 1)
+    assert _bounded(helper.close) is None
+    assert threading.active_count() == before
+
+
+def test_a_helper_closed_after_an_error_is_joined():
+    def failing():
+        raise _Failed("call")
+
+    before = threading.active_count()
+    helper = paths.Helper()
+    helper.put(failing)
+    assert _bounded(helper.close) is None  # the error was never read
+    assert threading.active_count() == before
+    assert isinstance(_bounded(helper.get), ValueError)
+
+
+def test_a_helper_with_no_call_pending_refuses_get_instead_of_waiting():
+    helper = paths.Helper()
+    try:
+        assert isinstance(_bounded(helper.get), ValueError)
+        helper.put(divmod, 7, 2)
+        assert helper.get() == (3, 1)
+        assert isinstance(_bounded(helper.get), ValueError)
+    finally:
+        helper.close()
+    assert isinstance(_bounded(helper.get), ValueError)  # and once it is closed
+
+
 @pytest.mark.parametrize("n_rows, seed", [(0, 1), (-2, 1), (5, -1), (5, 2**64)])
 def test_draw_arguments_are_checked_before_any_draw(monkeypatch, n_rows, seed):
     keyed = []

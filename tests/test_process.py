@@ -31,6 +31,7 @@ from sqrtwiener import (
 from sqrtwiener import paths, process
 from sqrtwiener.paths import cumulative_paths, row_blocks, wiener_ensemble
 from sqrtwiener.process import array_digest, digest_alongside
+from test_paths import _bounded
 
 DT = 0.001
 GRID = TimeGrid(DT, 1000)
@@ -480,12 +481,20 @@ def test_a_digest_handle_belongs_to_its_ensemble_and_block():
         ensemble_digest(ens, hashed)  # the block has ended
 
 
+def test_a_digest_is_read_once_per_block_and_never_waited_for_twice():
+    ens = integrate_sqrt(TimeGrid(DT, 16), 5, SqrtParams(), 1)
+    with digest_alongside(ens) as hashed:
+        assert ensemble_digest(ens, hashed) == array_digest(ens.increments)
+        again = _bounded(lambda: ensemble_digest(ens, hashed))
+        assert isinstance(again, ValueError) and "pending" in str(again)
+
+
 def test_a_hash_that_cannot_start_leaves_the_array_writeable(monkeypatch):
     def refused(self):
         raise RuntimeError("can't start new thread")
 
-    monkeypatch.setattr(process._Hashing, "start", refused)
-    ens = wiener_ensemble(TimeGrid(DT, 16), 5, 1)
+    ens = wiener_ensemble(TimeGrid(DT, 16), 5, 1)  # drawn before its own helper is refused
+    monkeypatch.setattr(threading.Thread, "start", refused)
     with pytest.raises(RuntimeError, match="can't start"), digest_alongside(ens):
         pass
     assert ens.dw.flags.writeable

@@ -138,6 +138,21 @@ def test_phi_stream_pseudo_variance_structure():
     assert abs(s.value.imag - (-0.5)) < tol_im
 
 
+@pytest.mark.parametrize("rows", [
+    [[1.35e154, 1.35e154]],
+    [[1.35e154 + 1.4e154j, 1.35e154 + 1.4e154j], [1.35e154 + 1.4e154j, 1.35e154 + 1.4e154j]],
+], ids=["real", "complex"])
+def test_a_pooled_mean_beyond_the_root_of_max_float_has_a_non_finite_stderr(rows):
+    # each component's mean is finite, but its square is not a float
+    rows = np.array(rows)
+    with np.errstate(over="ignore"):
+        stat = pooled_complex_mean(rows)
+        pooled_pseudo_variance(rows)  # also returns a value
+    assert stat.value == rows[0, 0]
+    assert not math.isfinite(stat.stderr.real)
+    assert np.isrealobj(rows) or not math.isfinite(stat.stderr.imag)
+
+
 def test_pooled_stats_match_flat_estimators():
     rng = np.random.default_rng(5)
     rows = rng.normal(size=(40, 30)) + 1j * rng.normal(size=(40, 30))
