@@ -46,7 +46,6 @@ exact.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -448,16 +447,30 @@ class GaussianFit:
     r_squared: float
 
 
-def _gauss(x, amplitude, center, sigma):
-    return amplitude * np.exp(-((x - center) ** 2) / (2 * sigma * sigma))
+_FIT_TOL = 1.5e-8  # curve_fit's default xtol and ftol
+_FIT_STEPS = 10000  # trial steps, as curve_fit's maxfev here
+
+
+def _gauss_residual(x, y, p):
+    """y minus A*exp(-(x-c)^2/(2 s^2)) at p = (A, c, s), and its Jacobian."""
+    d = x - p[1]
+    e = np.exp(-d * d / (2 * p[2] * p[2]))
+    g = p[0] * e
+    return y - g, np.stack([e, g * d / p[2] ** 2, g * d * d / p[2] ** 3], axis=1)
 
 
 def fit_gaussian_curve(x, y) -> GaussianFit:
-    """Least-squares Gaussian fit of (x, y) pairs with goodness-of-fit R^2."""
+    """Least-squares Gaussian fit of (x, y) pairs with goodness-of-fit R^2.
+
+    Levenberg-Marquardt damped by diag(J^T J).  It stops once an accepted
+    step cuts the squared residual, or any step moves p, by at most a
+    relative _FIT_TOL, and gives up after _FIT_STEPS trial steps."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.size < 4:
         raise FitError(f"Gaussian fit needs at least 4 points, got {x.size}")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise FitError("Gaussian fit needs finite data")
     ss_tot = float(((y - y.mean()) ** 2).sum())
     if ss_tot == 0:
         raise FitError("degenerate data: all values equal, nothing to fit")
@@ -466,21 +479,36 @@ def fit_gaussian_curve(x, y) -> GaussianFit:
     c0 = float((x * w).sum() / tot) if tot > 0 else float(x.mean())
     s0 = float(np.sqrt(((x - c0) ** 2 * w).sum() / tot)) if tot > 0 else float(x.std())
     s0 = max(s0, float(np.diff(x).min()) / 2 if x.size > 1 else 1.0)
-    # imported here, its only use: importing scipy.optimize costs a process
-    # about 18 MiB beyond scipy.linalg and scipy.special, which it loads too,
-    # and only kernels fits anything
-    from scipy.optimize import OptimizeWarning, curve_fit
-
-    try:
-        with warnings.catch_warnings():
-            # the covariance is discarded; exact data makes it inestimable
-            warnings.simplefilter("ignore", OptimizeWarning)
-            popt, _ = curve_fit(_gauss, x, y, p0=[float(y.max()), c0, s0], maxfev=10000)
-    except RuntimeError as exc:
-        raise FitError(f"Gaussian fit did not converge: {exc}") from exc
-    resid = y - _gauss(x, *popt)
-    r2 = 1.0 - float((resid**2).sum()) / ss_tot
-    return GaussianFit(float(popt[0]), float(popt[1]), abs(float(popt[2])), r2)
+    p = np.array([float(y.max()), c0, s0])
+    damping = 1e-3
+    # a trial out of float range is rejected below, not warned about
+    with np.errstate(all="ignore"):
+        resid, jac = _gauss_residual(x, y, p)
+        cost = float(resid @ resid)
+        for _ in range(_FIT_STEPS):
+            normal, grad = jac.T @ jac, jac.T @ resid
+            if not (np.isfinite(normal).all() and np.isfinite(grad).all()):
+                raise FitError("Gaussian fit met a non-finite Jacobian")
+            try:
+                step = np.linalg.solve(normal + damping * np.diag(np.diag(normal)), grad)
+            except np.linalg.LinAlgError:
+                # singular only with a zero column of J, which no damping mends
+                raise FitError("Gaussian fit met a singular normal matrix") from None
+            trial = p + step
+            trial_resid, trial_jac = _gauss_residual(x, y, trial)
+            trial_cost = float(trial_resid @ trial_resid)
+            done = np.linalg.norm(step) <= _FIT_TOL * np.linalg.norm(p)
+            if trial_cost < cost:
+                done = done or cost - trial_cost <= _FIT_TOL * cost
+                p, resid, jac, cost = trial, trial_resid, trial_jac, trial_cost
+                damping /= 10
+            else:
+                damping *= 10
+            if done:
+                break
+        else:
+            raise FitError(f"Gaussian fit did not converge in {_FIT_STEPS} steps")
+    return GaussianFit(float(p[0]), float(p[1]), abs(float(p[2])), 1.0 - cost / ss_tot)
 
 
 def gaussian_fit(h: Histogram) -> GaussianFit:

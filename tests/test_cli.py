@@ -835,9 +835,10 @@ def test_negative_reals_in_exponent_notation_are_flag_values(tmp_path, argv, key
 def test_one_ensemble_alive_at_a_time(tmp_path, command):
     # both ensembles alive at once would trace 1.5 x the complex increments
     # (8 MB of real dw beside 16 MB of complex increments); one at a time
-    # traces the complex ensemble and its row blocks.  scipy.optimize is
-    # imported first, so the peak counts arrays, not module objects.
-    import scipy.optimize  # noqa: F401
+    # traces the complex ensemble and its row blocks.  scipy.special, the
+    # one compiled SciPy module both runs load, is imported first, so the
+    # peak counts arrays, not module objects.
+    import scipy.special  # noqa: F401
 
     complex_bytes = 2000 * 500 * np.dtype(np.complex128).itemsize
     tracemalloc.start()

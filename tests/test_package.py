@@ -30,7 +30,7 @@ def test_every_exported_and_imported_name_resolves(name):
     # names taken from sibling modules, read from the source so that a name
     # bound some other way cannot hide a stale import
     package = name if name == "sqrtwiener" else name.rpartition(".")[0]
-    for node in ast.walk(ast.parse(open(module.__file__).read())):
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
         if isinstance(node, ast.ImportFrom) and node.level:
             source = importlib.import_module(
                 "." * node.level + (node.module or ""), package
@@ -225,8 +225,8 @@ def _scipy_modules_loaded(argv: list[str]) -> set[str]:
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
-    # only the Gaussian fits use scipy.optimize, only the draws scipy.special
-    # and only the Crank-Nicolson solves scipy.linalg; each imports its own
+    # no module uses scipy.optimize, only the draws scipy.special and only the
+    # Crank-Nicolson solves scipy.linalg; each imports its own
     assert _scipy_modules_loaded([]) == set()
 
 
@@ -234,7 +234,9 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     (["simulate", "--paths", "3", "--steps", "4"], {"scipy.linalg", "scipy.optimize"}),
     (["table1", "--paths", "3", "--steps", "4"], {"scipy.linalg", "scipy.optimize"}),
     (["fpsolve", "--grid-points", "256"], {"scipy.special", "scipy.optimize"}),
-], ids=["simulate", "table1", "fpsolve"])
+    (["kernels", "--paths", "3", "--steps", "4", "--x-points", "64"],
+     {"scipy.linalg", "scipy.optimize"}),
+], ids=["simulate", "table1", "fpsolve", "kernels"])
 def test_subcommand_leaves_the_scipy_modules_it_never_calls_unloaded(tmp_path, argv, unloaded):
     loaded = _scipy_modules_loaded([*argv, "--output", str(tmp_path / "out")])
     assert loaded == set(SCIPY_MODULES) - unloaded

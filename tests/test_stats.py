@@ -17,7 +17,9 @@ Frozen oracle values used below (dt = 0.001, mu0 = 1/2, beta = 0):
 
 import hashlib
 import math
+import threading
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -44,8 +46,11 @@ from sqrtwiener import (
     pooled_complex_mean,
     pooled_pseudo_variance,
     sample_wiener,
+    schrodinger_samples,
+    square_samples,
     sturges_bins,
     table1_statistics,
+    wick_rotate_samples,
     wiener_ensemble,
 )
 from sqrtwiener import stats
@@ -450,6 +455,107 @@ def test_gaussian_fit_rejects_degenerate():
 def test_fit_gaussian_curve_needs_points():
     with pytest.raises(FitError):
         fit_gaussian_curve([0, 1, 2], [1, 2, 1])
+
+
+def _gauss(x, amplitude, center, sigma):
+    return amplitude * np.exp(-((x - center) ** 2) / (2 * sigma * sigma))
+
+
+def _curve_fit(x, y):
+    """scipy's curve_fit from fit_gaussian_curve's start (y.max(), weighted
+    centre and width).  The tests may load scipy.optimize; the package
+    never does."""
+    from scipy.optimize import OptimizeWarning, curve_fit
+
+    w = np.clip(y, 0, None)
+    c0 = (x * w).sum() / w.sum()
+    s0 = max(np.sqrt(((x - c0) ** 2 * w).sum() / w.sum()), np.diff(x).min() / 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OptimizeWarning)
+        popt, _ = curve_fit(_gauss, x, y, p0=[y.max(), c0, s0], maxfev=10000)
+    return popt
+
+
+def _histogram_points(samples):
+    h = build_histogram(samples, normalization="density")
+    return h.centers, h.density()
+
+
+def _far_peak():
+    # a peak far from the weighted start, which undamped Gauss-Newton steps
+    # never reach; the fit takes 14 trial steps
+    x = np.linspace(0, 50, 60)
+    return x, _gauss(x, 2.0, 40.0, 1.0) + 0.05 * np.cos(x)
+
+
+@pytest.fixture(scope="module")
+def fit_cases():
+    # the acceptance histograms at a small seeded protocol and the analytic
+    # Wick-rotated curve
+    grid = TimeGrid(0.01, 100)
+    terminal = cumulative_terminal(wiener_ensemble(grid, 4000, master_seed=3).dw)
+    sqrt_ens = integrate_sqrt(grid, 4000, SqrtParams(), master_seed=3)
+    x = np.linspace(-6, 6, 400)
+    return {
+        "wiener-terminal": _histogram_points(terminal),
+        "sqrt-wick-rotated": _histogram_points(
+            wick_rotate_samples(square_samples(sqrt_ens.terminal_values))),
+        "rotated-curve": (x, wick_rotate_samples(schrodinger_samples(x, 1.0))),
+        "far-peak": _far_peak(),
+    }
+
+
+@pytest.mark.parametrize("case", ["wiener-terminal", "sqrt-wick-rotated", "rotated-curve",
+                                  "far-peak"])
+def test_fit_gaussian_curve_matches_curve_fit(fit_cases, case):
+    # curve_fit stops at its xtol, a little short of the minimum this fit
+    # reaches: the two agreed to 4e-8 of each parameter's scale or better
+    x, y = fit_cases[case]
+    fit = fit_gaussian_curve(x, y)
+    amplitude, center, sigma = _curve_fit(x, y)
+    assert fit.amplitude == pytest.approx(amplitude, rel=1e-6)
+    assert fit.sigma == pytest.approx(abs(sigma), rel=1e-6)
+    # a centre at 0 is compared on the scale of the width
+    assert fit.center == pytest.approx(center, abs=1e-6 * abs(sigma))
+    curve_fit_ss = ((y - _gauss(x, amplitude, center, sigma)) ** 2).sum()
+    assert fit.r_squared >= 1.0 - curve_fit_ss / ((y - y.mean()) ** 2).sum() - 1e-12
+
+
+def _bounded(fn, seconds=10):
+    """fn()'s exception, or None, from a thread given seconds to finish."""
+    raised = []
+
+    def target():
+        try:
+            fn()
+        except BaseException as exc:
+            raised.append(exc)
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), "the fit is still running"
+    return raised[0] if raised else None
+
+
+@pytest.mark.parametrize("x, y, message", [
+    ([0, 1, 2, 3], [0, 1, np.nan, 1], "finite data"),
+    ([0, 1, 2, 3], [0, 1, np.inf, 1], "finite data"),
+    # the start's amplitude y.max() = 0 zeroes two columns of J
+    ([0, 1, 2, 3], [-1, -2, 0, -3], "singular normal matrix"),
+    # a width near 1e-160 puts s^3 below the smallest double
+    ([0, 1e-160, 2e-160, 3e-160], [0, 1, 2, 1], "non-finite Jacobian"),
+], ids=["nan", "inf", "singular", "jacobian-overflow"])
+def test_fit_gaussian_curve_refuses_unfittable_data_without_hanging(x, y, message):
+    error = _bounded(lambda: fit_gaussian_curve(x, y))
+    assert isinstance(error, FitError) and message in str(error)
+
+
+def test_fit_gaussian_curve_that_does_not_converge_in_its_steps_raises(monkeypatch):
+    x, y = _far_peak()
+    monkeypatch.setattr(stats, "_FIT_STEPS", 2)
+    with pytest.raises(FitError, match="did not converge in 2 steps"):
+        fit_gaussian_curve(x, y)
 
 
 def test_brownian_path_means_are_normal(protocol_ensembles):
