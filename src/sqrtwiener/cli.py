@@ -21,14 +21,18 @@ error, library ValueError, arithmetic out of float range (also emitted
 numbers that are not all finite; the message names dt, mu0 and beta) or
 sizes beyond memory or beyond numpy's array range (the message names the
 sizes: n_paths x n_steps, x-points, bins or grid-points; those beyond the
-range are refused before any draw), 2 I/O error.  Every file is written to
-a temporary file (process.replaced_atomically) and renamed into place, and a
-run makes its output directory only after its draws or its evolution
-succeeded.  A run writes its manifest, which lists every file it wrote,
-last, after deleting the files that the directory's previous manifest
-listed and the new one does not, and the temporary files a killed run left
-for any name either manifest lists; the manifest records the library
-versions and this process's peak RSS.
+range are refused before any draw), 2 I/O error.
+
+Each cmd_* computes and touches no file: it returns a Run, which main hands
+to write_run, the one writer.  So a run makes its output directory only
+after its draws or its evolution succeeded.  write_run first deletes the
+directory's manifest, every file the previous manifest listed, and the
+temporary files a killed run left for any name either manifest lists; then
+it writes every CSV, every report and the manifest, which lists every file
+written, last.  Every file is written to a temporary file
+(process.replaced_atomically) and renamed into place, so a run that fails
+while writing leaves only its own complete files and no manifest.  The
+manifest records the library versions and this process's peak RSS.
 
 The only environment variable honored is SQRTWIENER_OUTPUT, an optional
 default output directory used when neither --output nor the config file set
@@ -51,6 +55,7 @@ import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import scipy
@@ -245,43 +250,27 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# manifests and file helpers
+# the value a subcommand returns, and the one writer of its files
 # ---------------------------------------------------------------------------
 
-def make_manifest(command: str, config: RunConfig, increment_digest: str, **extra) -> dict:
-    manifest = {
-        "artifact_version": ARTIFACT_VERSION,
-        "command": command,
-        "created_utc": datetime.now(timezone.utc).isoformat(),
-        "config": dataclasses.asdict(config),
-        "config_digest": config.digest(),
-        "increment_digest": increment_digest,
-        "rng": RNG_NAME,
-        "versions": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-            "sqrtwiener": __version__,
-        },
-    }
-    manifest.update(extra)
-    return manifest
+@dataclass
+class Run:
+    """What a subcommand computed, which main hands to write_run: the digest
+    of its numbers, its manifest's extra fields, a writer(path, comment
+    lines) per CSV, a body per JSON report, and the lines to print."""
+
+    increment_digest: str
+    extras: dict
+    files: dict
+    reports: dict
+    stdout: list
 
 
-def manifest_header_lines(manifest: dict) -> list[str]:
-    """Comment lines embedded in every CSV so outputs reference their run
-    (stable across reruns: no timestamps)."""
-    return [
-        f"artifact_version={manifest['artifact_version']}",
-        f"config_digest={manifest['config_digest']}",
-        f"increment_digest={manifest['increment_digest']}",
-    ]
-
-
-def _prepare_output(config: RunConfig) -> Path:
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _columns_csv(header: str, row_template: str, columns) -> Callable:
+    """A CSV writer of column_blocks rows, which builds its columns by
+    calling columns() only when it writes."""
+    return lambda path, comments: write_csv(path, comments, header,
+                                            column_blocks(columns(), row_template))
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -301,31 +290,56 @@ def _peak_rss_mb() -> float | None:
     return peak / 2**20 if sys.platform == "darwin" else peak / 1024  # bytes on macOS, else KiB
 
 
-def _write_manifest(out: Path, manifest: dict, written: list[str], reports: dict) -> None:
-    """List written, the reports and manifest.json as outputs and record this
-    process's peak RSS so far in manifest, write each report (manifest first),
-    then write manifest.json, first deleting the files the old manifest in
-    out listed that this one does not, and the temporary files a killed run
-    left for any name either manifest lists.  Only bare file names inside out
-    are deleted, and an unreadable old manifest deletes nothing that this
-    run's manifest does not name."""
-    manifest["outputs"] = [*written, *reports, "manifest.json"]
-    manifest["peak_rss_mb"] = _peak_rss_mb()
-    for name, body in reports.items():
-        _write_json(out / name, {"manifest": manifest, **body})
+def write_run(command: str, config: RunConfig, run: Run) -> None:
+    """Write run into the output directory: every CSV, then every report
+    (the manifest first in each), then manifest.json.
+
+    The manifest holds the core fields, run.extras, the outputs (every file
+    written, manifest.json last) and this process's peak RSS after the CSVs.
+    Each CSV starts with comment lines naming the artifact version and the
+    two digests (no timestamps, so reruns give equal bytes).  Before the
+    first write it deletes manifest.json, every file the old manifest in
+    the directory listed, and the temporary files a killed run left for any
+    name either manifest lists: only bare file names inside the directory,
+    and an unreadable old manifest deletes nothing that this run's manifest
+    does not name.  A write that fails leaves this run's complete files and
+    no manifest."""
+    manifest = {
+        "artifact_version": ARTIFACT_VERSION,
+        "command": command,
+        "created_utc": datetime.now(timezone.utc).isoformat(),
+        "config": dataclasses.asdict(config),
+        "config_digest": config.digest(),
+        "increment_digest": run.increment_digest,
+        "rng": RNG_NAME,
+        "versions": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "sqrtwiener": __version__,
+        },
+        **run.extras,
+        "outputs": [*run.files, *run.reports, "manifest.json"],
+    }
+    comments = [f"{key}={manifest[key]}"
+                for key in ("artifact_version", "config_digest", "increment_digest")]
+    out = Path(config.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
     try:
         old = json.loads((out / "manifest.json").read_text())["outputs"]
     except (OSError, ValueError, LookupError, TypeError):
         old = []
-    old = [n for n in (old if isinstance(old, list) else [])
-           if isinstance(n, str) and n == os.path.basename(n)]
-    for name in old:
-        if name not in manifest["outputs"] and (out / name).is_file():
-            (out / name).unlink()
-    listed = set(old) | set(manifest["outputs"])
+    old = {n for n in (old if isinstance(old, list) else [])
+           if isinstance(n, str) and n == os.path.basename(n)} | {"manifest.json"}
+    listed = old | set(manifest["outputs"])
     for path in out.iterdir():
-        if temporary_target(path.name) in listed and path.is_file():
+        if (path.name in old or temporary_target(path.name) in listed) and path.is_file():
             path.unlink()
+    for name, write in run.files.items():
+        write(out / name, comments)
+    manifest["peak_rss_mb"] = _peak_rss_mb()
+    for name, body in run.reports.items():
+        _write_json(out / name, {"manifest": manifest, **body})
     _write_json(out / "manifest.json", manifest)
 
 
@@ -369,29 +383,24 @@ def ensemble_csv_name(rows: int, compress: bool) -> str:
     return "ensemble.csv"
 
 
-def cmd_simulate(config: RunConfig, args: argparse.Namespace) -> int:
+def cmd_simulate(config: RunConfig, args: argparse.Namespace) -> Run:
     ens = integrate_sqrt(config.grid, config.n_paths, config.params, config.seed)
     _require_finite("square-root increments", ens.increments)
     digest = ensemble_digest(ens)
-    manifest = make_manifest("simulate", config, digest, draw_threads=DRAW_THREADS)
-    out = _prepare_output(config)
-
     rows = config.n_paths * config.n_steps
     if config.csv_max_paths is not None:
         rows = min(config.csv_max_paths, config.n_paths) * config.n_steps
     name = ensemble_csv_name(rows, config.compress)
-    csv_path = out / name
-    ensemble_to_csv(
-        ens, csv_path, max_paths=config.csv_max_paths,
-        header_lines=manifest_header_lines(manifest),
+    return Run(
+        digest, {"draw_threads": DRAW_THREADS},
+        {name: lambda path, comments: ensemble_to_csv(ens, path, config.csv_max_paths, comments)},
+        {},
+        [f"simulate: {config.n_paths} paths x {config.n_steps} steps -> "
+         f"{Path(config.output_dir) / name}", f"increment_digest {digest}"],
     )
-    _write_manifest(out, manifest, [name], {})
-    print(f"simulate: {config.n_paths} paths x {config.n_steps} steps -> {csv_path}")
-    print(f"increment_digest {digest}")
-    return 0
 
 
-def cmd_table1(config: RunConfig, args: argparse.Namespace) -> int:
+def cmd_table1(config: RunConfig, args: argparse.Namespace) -> Run:
     if config.n_paths * config.n_steps < 2:
         raise ConfigError(
             "table1 needs at least 2 increments, got "
@@ -413,20 +422,9 @@ def cmd_table1(config: RunConfig, args: argparse.Namespace) -> int:
                 for c in (s.mean, s.pseudo_variance, s.diffusion) for z in (c.value, c.stderr)]
     _require_finite("table1 statistics", np.array(reported))
 
-    manifest = make_manifest("table1", config, digest, wiener_digest=wiener_digest,
-                             draw_threads=DRAW_THREADS)
-    comments = manifest_header_lines(manifest)
-    out = _prepare_output(config)
-
-    csv_path = out / "table1.csv"
     rows = [_stat_row("brownian", s) for s in table.brownian]
     rows += [_stat_row("square_root", s) for s in table.square_root]
     row_template = "%s,%s" + ",%.17g" * 8 + "\n"
-    write_csv(
-        csv_path, comments,
-        "row,estimator_tag,mean_re,mean_im,stderr_re,stderr_im,var_re,var_im,D_re,D_im",
-        (row_template % tuple(row) for row in rows),
-    )
 
     bro = table.by_tag("brownian", st.TAG_PAPER_REPORTED)
     sq = table.by_tag("square_root", st.TAG_PAPER_REPORTED)
@@ -455,18 +453,23 @@ def cmd_table1(config: RunConfig, args: argparse.Namespace) -> int:
             "the published 0.4986/0.5016; the discrepancy is reported, not tuned away"
         ),
     }
-    _write_manifest(out, manifest, [csv_path.name], {"table1_report.json": report})
-    print(f"table1: wrote {csv_path}")
-    print(
-        "brownian temporal variance "
-        f"{bro.pseudo_variance.value.real:.5f} (published {bro_pub['variance'][0]}), "
-        f"square-root variance {sq.pseudo_variance.value.imag:+.5f}i "
-        f"(published {sq_pub['variance_im'][0]}i)"
+    return Run(
+        digest, {"wiener_digest": wiener_digest, "draw_threads": DRAW_THREADS},
+        {"table1.csv": lambda path, comments: write_csv(
+            path, comments,
+            "row,estimator_tag,mean_re,mean_im,stderr_re,stderr_im,var_re,var_im,D_re,D_im",
+            (row_template % tuple(row) for row in rows),
+        )},
+        {"table1_report.json": report},
+        [f"table1: wrote {Path(config.output_dir) / 'table1.csv'}",
+         "brownian temporal variance "
+         f"{bro.pseudo_variance.value.real:.5f} (published {bro_pub['variance'][0]}), "
+         f"square-root variance {sq.pseudo_variance.value.imag:+.5f}i "
+         f"(published {sq_pub['variance_im'][0]}i)"],
     )
-    return 0
 
 
-def cmd_kernels(config: RunConfig, args: argparse.Namespace) -> int:
+def cmd_kernels(config: RunConfig, args: argparse.Namespace) -> Run:
     t, x_min, x_max, x_points, bins = args.t, args.x_min, args.x_max, args.x_points, args.bins
     if x_points < 8 or not x_max > x_min:
         raise ConfigError("x range must be non-empty with at least 8 points")
@@ -517,31 +520,24 @@ def cmd_kernels(config: RunConfig, args: argparse.Namespace) -> int:
                 fits[label] = {"error": str(exc)}
 
         digest = ensemble_digest(sqrt_ens, hashed)
-    manifest = make_manifest(
-        "kernels", config, digest,
-        draw_threads=DRAW_THREADS,
-        empirical_interpretation="squared-terminal-values",
-        kernel_t=t,
-        x_min=x_min,
-        x_max=x_max,
-        x_points=x_points,
-        histogram_bins={"wiener_terminal": len(hist_w.counts),
-                        "sqrt_wick_rotated": len(hist_s.counts)},
-    )
-    comments = manifest_header_lines(manifest)
-    out = _prepare_output(config)
-
-    curves = [x, osc.real, osc.imag, np.abs(osc), heat, wick]
-    write_csv(
-        out / "kernel_curves.csv", comments, "x,re,im,modulus,heat,wick",
-        column_blocks(curves, "%.17g," * 5 + "%.17g\n"),
-    )
-    hists = {"hist_wiener_terminal.csv": hist_w, "hist_sqrt_wick.csv": hist_s}
-    for name, h in hists.items():
-        columns = [h.bin_edges[:-1], h.bin_edges[1:], h.counts, h.density()]
-        write_csv(
-            out / name, comments, "bin_lo,bin_hi,count,density",
-            column_blocks(columns, "%.17g,%.17g,%d,%.17g\n"),
+    extras = {
+        "draw_threads": DRAW_THREADS,
+        "empirical_interpretation": "squared-terminal-values",
+        "kernel_t": t,
+        "x_min": x_min,
+        "x_max": x_max,
+        "x_points": x_points,
+        "histogram_bins": {"wiener_terminal": len(hist_w.counts),
+                           "sqrt_wick_rotated": len(hist_s.counts)},
+    }
+    files = {"kernel_curves.csv": _columns_csv(
+        "x,re,im,modulus,heat,wick", "%.17g," * 5 + "%.17g\n",
+        lambda: [x, osc.real, osc.imag, np.abs(osc), heat, wick],
+    )}
+    for name, h in (("hist_wiener_terminal.csv", hist_w), ("hist_sqrt_wick.csv", hist_s)):
+        files[name] = _columns_csv(
+            "bin_lo,bin_hi,count,density", "%.17g,%.17g,%d,%.17g\n",
+            lambda h=h: [h.bin_edges[:-1], h.bin_edges[1:], h.counts, h.density()],
         )
 
     center_shift = fits.get("sqrt_wick_rotated", {}).get("center")
@@ -560,12 +556,10 @@ def cmd_kernels(config: RunConfig, args: argparse.Namespace) -> int:
             center_shift is not None and abs(center_shift) > 0
         ),
     }
-    _write_manifest(out, manifest, ["kernel_curves.csv", *hists], {"kernels_report.json": report})
-    print(
+    return Run(digest, extras, files, {"kernels_report.json": report}, [
         f"kernels: max|wick-heat| = {max_wick_err:.3e}, "
         f"fits R^2 = {[f.get('r_squared') for f in fits.values()]}"
-    )
-    return 0
+    ])
 
 
 def _fp_convergence_study(p: kn.FPParams) -> dict:
@@ -605,7 +599,7 @@ def _fp_heat_validation() -> dict:
 _FP_MAX_STEPS = 10**6
 
 
-def cmd_fpsolve(config: RunConfig, args: argparse.Namespace) -> int:
+def cmd_fpsolve(config: RunConfig, args: argparse.Namespace) -> Run:
     grid_points, fp_dt, fp_time, sigma0 = args.grid_points, args.fp_dt, args.fp_time, args.sigma0
     if grid_points < 64:
         raise ConfigError(f"grid-points must be >= 64, got {grid_points}")
@@ -676,18 +670,13 @@ def cmd_fpsolve(config: RunConfig, args: argparse.Namespace) -> int:
     per_step_drift = float(np.abs(np.diff(mass_arr)).max())
 
     digest = array_digest(current.values)
-    manifest = make_manifest("fpsolve", config, digest, fp_time=fp_time, fp_dt=dt_eff,
-                             grid_points=grid_points, sigma0=sigma0,
-                             drift=[p.drift.real, p.drift.imag],
-                             diffusion=[p.diffusion.real, p.diffusion.imag])
-    comments = manifest_header_lines(manifest)
-    out = _prepare_output(config)
-    for name, g in zip(names, profiles):
-        columns = [g.xs(), g.values.real, g.values.imag, np.abs(g.values)]
-        write_csv(
-            out / name, comments, "x,re,im,modulus",
-            column_blocks(columns, "%.17g,%.17g,%.17g,%.17g\n"),
-        )
+    extras = {"fp_time": fp_time, "fp_dt": dt_eff, "grid_points": grid_points, "sigma0": sigma0,
+              "drift": [p.drift.real, p.drift.imag],
+              "diffusion": [p.diffusion.real, p.diffusion.imag]}
+    files = {name: _columns_csv(
+        "x,re,im,modulus", "%.17g,%.17g,%.17g,%.17g\n",
+        lambda g=g: [g.xs(), g.values.real, g.values.imag, np.abs(g.values)],
+    ) for name, g in zip(names, profiles)}
 
     mod0 = np.abs(init.values)
     mod1 = np.abs(current.values)
@@ -705,13 +694,11 @@ def cmd_fpsolve(config: RunConfig, args: argparse.Namespace) -> int:
         "heat_mode_validation": _fp_heat_validation(),
         "self_convergence": _fp_convergence_study(p),
     }
-    _write_manifest(out, manifest, names, {"fp_report.json": report})
-    print(
+    return Run(digest, extras, files, {"fp_report.json": report}, [
         f"fpsolve: mass drift {per_step_drift:.3e}/step, "
         f"heat-mode Linf {report['heat_mode_validation']['l_inf_error']:.3e}, "
         f"convergence ratio {report['self_convergence']['ratio']:.2f}"
-    )
-    return 0
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -792,12 +779,15 @@ def main(argv=None) -> int:
         try:
             # arithmetic out of float range is refused by the checks after it
             with _memory_for(sizes), np.errstate(all="ignore"):
-                return args.run(config, args)
+                run = args.run(config, args)
+                write_run(args.command, config, run)
         except ArithmeticError as exc:
             raise ConfigError(
                 f"dt = {config.dt}, mu0 = {config.mu0} and beta = {config.beta} "
                 f"put the arithmetic out of float range: {exc}"
             ) from exc
+        print(*run.stdout, sep="\n")
+        return 0
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -471,18 +471,18 @@ def fit_gaussian_curve(x, y) -> GaussianFit:
         raise FitError(f"Gaussian fit needs at least 4 points, got {x.size}")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise FitError("Gaussian fit needs finite data")
-    ss_tot = float(((y - y.mean()) ** 2).sum())
-    if ss_tot == 0:
-        raise FitError("degenerate data: all values equal, nothing to fit")
-    w = np.clip(y, 0, None)
-    tot = w.sum()
-    c0 = float((x * w).sum() / tot) if tot > 0 else float(x.mean())
-    s0 = float(np.sqrt(((x - c0) ** 2 * w).sum() / tot)) if tot > 0 else float(x.std())
-    s0 = max(s0, float(np.diff(x).min()) / 2 if x.size > 1 else 1.0)
-    p = np.array([float(y.max()), c0, s0])
     damping = 1e-3
-    # a trial out of float range is rejected below, not warned about
+    # a start or a trial out of float range is rejected below, not warned about
     with np.errstate(all="ignore"):
+        ss_tot = float(((y - y.mean()) ** 2).sum())
+        if ss_tot == 0:
+            raise FitError("degenerate data: all values equal, nothing to fit")
+        w = np.clip(y, 0, None)
+        tot = w.sum()
+        c0 = float((x * w).sum() / tot) if tot > 0 else float(x.mean())
+        s0 = float(np.sqrt(((x - c0) ** 2 * w).sum() / tot)) if tot > 0 else float(x.std())
+        s0 = max(s0, float(np.diff(x).min()) / 2 if x.size > 1 else 1.0)
+        p = np.array([float(y.max()), c0, s0])
         resid, jac = _gauss_residual(x, y, p)
         cost = float(resid @ resid)
         for _ in range(_FIT_STEPS):

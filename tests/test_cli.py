@@ -894,17 +894,57 @@ def test_sizes_beyond_numpy_arrays_are_refused_naming_the_field(
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv", [
+_SMALL_RUNS = [
     ("simulate", "--paths", "12", "--steps", "16"),
     ("table1", "--paths", "40", "--steps", "16"),
     ("kernels", "--paths", "40", "--steps", "16"),
     ("fpsolve", "--grid-points", "1024", "--fp-dt", "0.002", "--fp-time", "0.1"),
-], ids=lambda argv: argv[0])
+]
+
+
+@pytest.mark.parametrize("argv", _SMALL_RUNS, ids=lambda argv: argv[0])
 def test_output_directory_holds_exactly_its_manifest_outputs(tmp_path, argv):
     out = tmp_path / "fresh"
     assert run(*argv, "--output", str(out)) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert sorted(os.listdir(out)) == sorted(manifest["outputs"])
+
+
+@pytest.mark.parametrize("argv", _SMALL_RUNS, ids=lambda argv: argv[0])
+def test_subcommands_compute_and_main_writes_what_they_return(tmp_path, capsys, argv):
+    # a subcommand touches no file and prints nothing; main's one writer
+    # writes exactly the files and reports it returned, in their order
+    cli = sqrtwiener.cli
+    out = tmp_path / "o"
+    args = cli._build_parser().parse_args([*argv, "--output", str(out)])
+    config = cli.build_config(args)
+    with np.errstate(all="ignore"):
+        computed = args.run(config, args)
+    assert not out.exists()
+    assert capsys.readouterr().out == ""
+    assert run(*argv, "--output", str(out)) == 0
+    outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+    assert [*computed.files, *computed.reports] == outputs[:-1]
+    assert outputs[-1] == "manifest.json"
+    assert capsys.readouterr().out.splitlines() == computed.stdout
+
+
+def test_a_run_that_fails_while_writing_leaves_only_its_own_files(tmp_path, capsys):
+    # the earlier run's files go before the first write, so a write that
+    # fails leaves no manifest or report of t = 1 beside curves of t = 2
+    argv = ("kernels", "--paths", "40", "--steps", "16")
+    out = tmp_path / "o"
+    assert run(*argv, "--t", "1.0", "--output", str(out)) == 0
+    blocker = out / "hist_wiener_terminal.csv"
+    blocker.unlink()
+    blocker.mkdir()
+    (blocker / "inside").write_text("a directory the CSV cannot replace")
+    assert run(*argv, "--t", "2.0", "--output", str(out)) == 2
+    assert "i/o error" in capsys.readouterr().err
+    assert sorted(os.listdir(out)) == ["hist_wiener_terminal.csv", "kernel_curves.csv"]
+    assert run(*argv, "--t", "2.0", "--output", str(tmp_path / "fresh")) == 0
+    fresh = (tmp_path / "fresh" / "kernel_curves.csv").read_bytes()
+    assert (out / "kernel_curves.csv").read_bytes() == fresh
 
 
 def test_stale_outputs_of_an_earlier_run_removed(tmp_path):

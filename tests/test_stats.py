@@ -545,7 +545,10 @@ def _bounded(fn, seconds=10):
     ([0, 1, 2, 3], [-1, -2, 0, -3], "singular normal matrix"),
     # a width near 1e-160 puts s^3 below the smallest double
     ([0, 1e-160, 2e-160, 3e-160], [0, 1, 2, 1], "non-finite Jacobian"),
-], ids=["nan", "inf", "singular", "jacobian-overflow"])
+    # the start's width, and the total sum of squares, square values near 1e200
+    ([0, 1, 2, 3, 1e200], [0, 1, 2, 1, 0], "non-finite Jacobian"),
+    ([0, 1, 2, 3, 4], [0, 1e200, 2e200, 1e200, 0], "non-finite Jacobian"),
+], ids=["nan", "inf", "singular", "jacobian-overflow", "start-overflow", "ss-tot-overflow"])
 def test_fit_gaussian_curve_refuses_unfittable_data_without_hanging(x, y, message):
     error = _bounded(lambda: fit_gaussian_curve(x, y))
     assert isinstance(error, FitError) and message in str(error)
