@@ -42,14 +42,18 @@ factors are memoized, so a caller that steps one call at a time pays one
 tridiagonal solve (gttrs) per step and no refactorization.  The steps
 advance one profile in place: a new array per fp_evolve call, or the
 caller's out=, which a caller that steps one call at a time passes to every
-call so the profile is allocated once per run.  LAPACK comes from
-scipy.linalg, which the first factorization of a process imports (_lapack),
-so a process that evolves nothing, such as simulate or table1, never loads
-it.
+call so the profile is allocated once per run.  The first factorization of
+a process loads SciPy's compiled LAPACK wrapper, scipy/linalg/_flapack,
+from its file (_lapack) without importing scipy.linalg, so fp_evolve loads
+none of scipy.linalg, scipy.special and scipy.optimize, and a process that
+evolves nothing, such as simulate or table1, never loads the wrapper.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass
 from functools import cache, lru_cache
 
@@ -243,13 +247,26 @@ _NEAR_BOUNDARY_TOL = 1e-7
 
 @cache
 def _lapack():
-    """LAPACK's tridiagonal LU factorization and solve (gttrf, gttrs), complex
-    double precision, imported by the first factorization of a process and
-    kept: importing scipy.linalg adds about 28 MiB to a process's peak RSS,
-    and only fp_evolve solves."""
-    from scipy.linalg import get_lapack_funcs
+    """LAPACK's tridiagonal LU factorization and solve (zgttrf, zgttrs),
+    complex double precision, loaded by the first factorization of a process
+    and kept.  They come from SciPy's compiled wrapper module _flapack, loaded
+    from its file in scipy/linalg without running scipy/linalg/__init__.py
+    and without entering sys.modules: they are the objects that
+    scipy.linalg.get_lapack_funcs returns, but after import sqrtwiener.cli
+    the load adds about 2.6 MiB to a process's peak RSS where importing
+    scipy.linalg adds about 20 MiB.  Raises ImportError naming the folder
+    when it holds no _flapack file."""
+    import scipy
 
-    return get_lapack_funcs(("gttrf", "gttrs"), dtype=np.complex128)
+    folder = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    finder = importlib.machinery.FileFinder(folder, (
+        importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES))
+    spec = finder.find_spec("scipy.linalg._flapack")
+    if spec is None:
+        raise ImportError(f"no compiled LAPACK wrapper _flapack in {folder}")
+    flapack = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(flapack)
+    return flapack.zgttrf, flapack.zgttrs
 
 
 def _GTTRS(*args, **kwargs):

@@ -60,3 +60,15 @@ def test_incorrect_runs_are_counted_but_not_summarised():
     assert s["failed"] == {"parent": 0, "change": 1}
     assert s["peak_rss_mb"]["pairs"] == 2  # the failed pair is left out
     assert s["peak_rss_mb"]["change"]["n"] == 2
+
+
+def test_both_checkouts_hold_bytecode_before_the_first_pair(tmp_path):
+    checkouts = [tmp_path / side for side in bench_pairs.SIDES]
+    for checkout in checkouts:
+        for folder in ("src", "perfbench"):
+            (checkout / folder).mkdir(parents=True)
+            (checkout / folder / "tiny.py").write_text("X = 1\n")
+    bench_pairs.compile_bytecode(checkouts)
+    for checkout in checkouts:
+        for folder in ("src", "perfbench"):
+            assert list((checkout / folder / "__pycache__").glob("tiny.*.pyc"))

@@ -11,11 +11,13 @@ Frozen oracle values:
   (4 pi)^(-1/2) exp(-1/4) = 0.2196956.
 """
 
+import re
 from unittest import mock
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_banded
+import scipy
+from scipy.linalg import get_lapack_funcs, solve_banded
 
 from sqrtwiener import kernels
 from sqrtwiener import (
@@ -351,6 +353,33 @@ def test_evolve_single_steps_factor_once_and_equal_the_reference():
         assert np.array_equal(g.values, ref.values)
     info = kernels._cn_operator.cache_info()
     assert (info.misses, info.hits) == (1, 39)
+
+
+def test_lapack_gives_the_bits_of_scipy_linalgs_gttrf_and_gttrs():
+    # a subdiagonal ten times the diagonal makes gttrf swap rows
+    gttrf, gttrs = kernels._lapack()
+    ref_gttrf, ref_gttrs = get_lapack_funcs(("gttrf", "gttrs"), dtype=np.complex128)
+    rng = np.random.default_rng(28)
+    n = 257
+    dl, d, du, b = (scale * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
+                    for size, scale in ((n - 1, 10.0), (n, 1.0), (n - 1, 1.0), (n, 1.0)))
+    factors, ref_factors = gttrf(dl, d, du), ref_gttrf(dl, d, du)
+    assert factors[-1] == ref_factors[-1] == 0
+    assert all(np.array_equal(a, r) for a, r in zip(factors[:-1], ref_factors[:-1]))
+    assert (factors[4] != np.arange(1, n + 1)).any()  # pivoted
+    (x, info), (ref_x, ref_info) = gttrs(*factors[:-1], b), ref_gttrs(*ref_factors[:-1], b)
+    assert info == ref_info == 0
+    assert np.array_equal(x, ref_x)
+
+
+def test_lapack_without_a_flapack_file_names_the_folder(tmp_path, monkeypatch):
+    kernels._lapack.cache_clear()
+    monkeypatch.setattr(scipy, "__file__", str(tmp_path / "scipy" / "__init__.py"))
+    try:
+        with pytest.raises(ImportError, match=re.escape(str(tmp_path / "scipy" / "linalg"))):
+            kernels._lapack()
+    finally:
+        kernels._lapack.cache_clear()
 
 
 @pytest.mark.parametrize("change", ["dt", "dx", "drift", "diffusion"])

@@ -4,7 +4,10 @@
         --pairs 10 --first-seed 2101 --out BENCH_21.json [--workload W ...]
 
 DIR is a checkout (src/ and perfbench/) of each side, such as a git-archive
-copy.  Pair i runs `perfbench/run.py --workload W --seed S --seconds T
+copy.  Before the first pair, src/ and perfbench/ of both checkouts are
+compiled to bytecode with the running interpreter, so that neither side's
+runs compile modules that the other side's runs read from __pycache__.
+Pair i runs `perfbench/run.py --workload W --seed S --seconds T
 --trace 0` at seed S = first_seed + i - 1 for every workload in turn, each
 workload on both sides in a row: odd pairs parent first, even pairs change
 first.  T defaults to BENCHMARK.json's run_seconds.  The output file has the
@@ -100,6 +103,14 @@ def _machine() -> dict:
             "numpy": versions[0], "scipy": versions[1]}
 
 
+def compile_bytecode(checkouts: list[Path]) -> None:
+    """Write __pycache__ for every module under src/ and perfbench/ of each
+    checkout, with this interpreter (python -m compileall -q)."""
+    for checkout in checkouts:
+        subprocess.run([sys.executable, "-m", "compileall", "-q", str(checkout / "src"),
+                        str(checkout / "perfbench")], check=True)
+
+
 def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One perfbench/run.py --trace 0 run: its last stdout line, parsed, or
     a failed result naming the exit code."""
@@ -141,10 +152,13 @@ def main(argv: list[str] | None = None) -> int:
         "protocol": f"Pairs 1-{args.pairs}, seeds {args.first_seed}-{last} (pair i uses seed "
                     f"{args.first_seed - 1}+i), workloads {', '.join(workloads)} in turn within "
                     "each pair, each workload run on both sides in a row: odd pairs parent then "
-                    "change, even pairs change then parent. Every run made is recorded.",
+                    "change, even pairs change then parent. Before the first pair, src/ and "
+                    "perfbench/ of both checkouts were compiled to bytecode with the running "
+                    "interpreter (python -m compileall -q). Every run made is recorded.",
         "machine": _machine(),
         "runs": [],
     }
+    compile_bytecode(list(checkouts.values()))
     for pair in range(1, args.pairs + 1):
         seed = args.first_seed + pair - 1
         for workload in workloads:
